@@ -46,7 +46,11 @@ void branch_walkers(WalkerPopulation& pop, int target_population, RandomGenerato
   for (int iw = 0; iw < pop.size(); ++iw)
   {
     Walker& w = *pop.walkers[iw];
-    const int mult = static_cast<int>(w.weight + rng.uniform());
+    // A non-finite weight (from a non-finite local energy) gets no
+    // copies: converting it to int is undefined. Finite weights are
+    // capped at 2.5 per generation, so they always convert.
+    const FullPrecReal m = w.weight + rng.uniform();
+    const int mult = std::isfinite(m) ? static_cast<int>(m) : 0;
     w.multiplicity = mult;
     if (mult <= 0)
       continue;

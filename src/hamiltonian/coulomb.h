@@ -13,9 +13,10 @@
 // passes one), the real-space pair sums consume the committed
 // unit-stride table rows -- the same minimum-image distances the rest
 // of the engine uses -- so the erfc loops vectorize and no AoS position
-// vector is rebuilt per measurement. The reciprocal-space phase tables
-// consume the canonical SoA component rows through EwaldSum::SoaPosView
-// (bitwise-identical to the former scatter-on-demand path). Without a
+// vector is rebuilt per measurement. The reciprocal-space parts share
+// one electron structure factor rho_e(k) per configuration
+// (electron_rho), summed from the canonical SoA rows by the vectorized
+// EwaldSum::structure_factor and cached in the electron set. Without a
 // table index (standalone unit tests) the components fall back to the
 // pure position-based EwaldSum entry points.
 #ifndef QMCXX_HAMILTONIAN_COULOMB_H
@@ -31,14 +32,27 @@
 namespace qmcxx
 {
 
-/// SoA view of a particle set's canonical position rows, for the Ewald
-/// k-space sums: reads Rsoa() component pointers directly, no AoS
-/// scatter.
+/// The electron structure factor rho_e(k) = sum_i (-1) e^{ik.r_i} of
+/// p's current configuration over ew's k-vectors. It is summed once per
+/// position version into p's cache slot, so CoulombEE and CoulombEI
+/// share it, and it equals bitwise the rho the std::vector<Pos> Ewald
+/// entry points build with unit negative charges.
 template<typename TR>
-inline SoaPosView soa_view(const ParticleSet<TR>& p)
+const typename ParticleSet<TR>::StructureFactor& electron_rho(const EwaldSum& ew,
+                                                              ParticleSet<TR>& p)
 {
-  const auto& rs = p.Rsoa();
-  return SoaPosView(rs.data(0), rs.data(1), rs.data(2), static_cast<std::size_t>(p.size()));
+  auto& sk = p.structure_factor();
+  if (sk.version != p.version() || sk.kset != ew.kset_key())
+  {
+    sk.re.resize(ew.num_kvectors());
+    sk.im.resize(ew.num_kvectors());
+    const auto& rs = p.Rsoa();
+    ew.structure_factor(rs.data(0), rs.data(1), rs.data(2), static_cast<std::size_t>(p.size()),
+                        -1.0, sk.re.data(), sk.im.data());
+    sk.version = p.version();
+    sk.kset = ew.kset_key();
+  }
+  return sk;
 }
 
 template<typename TR>
@@ -81,8 +95,8 @@ public:
         acc += ew.real_space_term(static_cast<double>(d[j]));
       e_real += acc;
     }
-    return e_real + ewald_->kspace_energy(soa_view(p), charges_) +
-        ewald_->self_background(charges_);
+    const auto& rho = electron_rho(ew, p);
+    return e_real + ew.kspace_energy(rho.re.data(), rho.im.data()) + ew.self_background(charges_);
   }
 
   std::unique_ptr<HamiltonianComponent<TR>> clone() const override
@@ -186,8 +200,11 @@ public:
       e_real += acc_real;
       e_core += acc_core;
     }
-    return e_real +
-        ewald_->interaction_kspace_cached(soa_view(p), elec_charge_, *ion_factors_) + e_core;
+    // Unit negative charges, as in electron_rho: their sum is exactly -n.
+    const auto& rho = electron_rho(ew, p);
+    const FullPrecReal q_sum = -static_cast<double>(n);
+    return e_real + ew.interaction_kspace(rho.re.data(), rho.im.data(), q_sum, *ion_factors_) +
+        e_core;
   }
 
   std::unique_ptr<HamiltonianComponent<TR>> clone() const override

@@ -1,12 +1,32 @@
 #include "hamiltonian/ewald.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+
+#include "config/config.h"
 
 namespace qmcxx
 {
 namespace
 {
+
+/// e^{i p (b . r)} for p in [-m, m] into row[p + m]: one cos/sin pair
+/// and a complex recurrence, the arithmetic every phase table uses.
+void phase_row(const TinyVector<double, 3>& b, const TinyVector<double, 3>& r, int m,
+               std::complex<double>* row)
+{
+  const double phase = dot(b, r);
+  const std::complex<double> step(std::cos(phase), std::sin(phase));
+  std::complex<double> cur(1.0, 0.0);
+  row[m] = cur;
+  for (int p = 1; p <= m; ++p)
+  {
+    cur *= step;
+    row[m + p] = cur;
+    row[m - p] = std::conj(cur);
+  }
+}
 
 /// Per-particle tables of e^{i n (b_j . r)} for n in [-m_j, m_j], one
 /// axis at a time. Because every k-vector is an integer combination of
@@ -18,8 +38,8 @@ struct PhaseTables
   int m[3];
   std::vector<std::complex<double>> tab[3];
 
-  template<typename Positions>
-  void build(const std::array<TinyVector<double, 3>, 3>& b, const int mm[3], const Positions& r)
+  void build(const std::array<TinyVector<double, 3>, 3>& b, const int mm[3],
+             const std::vector<TinyVector<double, 3>>& r)
   {
     const std::size_t n = r.size();
     for (int axis = 0; axis < 3; ++axis)
@@ -28,19 +48,7 @@ struct PhaseTables
       const int width = 2 * mm[axis] + 1;
       tab[axis].resize(n * width);
       for (std::size_t i = 0; i < n; ++i)
-      {
-        const double phase = dot(b[axis], r[i]);
-        const std::complex<double> step(std::cos(phase), std::sin(phase));
-        std::complex<double> cur(1.0, 0.0);
-        std::complex<double>* row = tab[axis].data() + i * width;
-        row[mm[axis]] = cur;
-        for (int p = 1; p <= mm[axis]; ++p)
-        {
-          cur *= step;
-          row[mm[axis] + p] = cur;
-          row[mm[axis] - p] = std::conj(cur);
-        }
-      }
+        phase_row(b[axis], r[i], mm[axis], tab[axis].data() + i * width);
     }
   }
 
@@ -83,6 +91,25 @@ EwaldSum::EwaldSum(const Lattice& lattice, double tolerance) : lattice_(lattice)
         kindex_.push_back({n0, n1, n2});
         kfac_.push_back(two_pi_over_v * std::exp(-k2 / (4.0 * alpha_ * alpha_)) / k2);
       }
+  for (const auto& k : kindex_)
+  {
+    if (kruns_.empty() || kruns_.back().n0 != k[0] || kruns_.back().n1 != k[1] ||
+        kruns_.back().n2 + kruns_.back().len != k[2])
+      kruns_.push_back({k[0], k[1], k[2], 0});
+    ++kruns_.back().len;
+  }
+
+  // FNV-1a over everything a structure factor depends on.
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* c = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i)
+      h = (h ^ c[i]) * 1099511628211ull;
+  };
+  mix(b.data(), sizeof(b));
+  mix(mmax_, sizeof(mmax_));
+  mix(kindex_.data(), kindex_.size() * sizeof(kindex_[0]));
+  kset_key_ = h;
 }
 
 double EwaldSum::real_space_pair(const Pos& a, const Pos& b) const
@@ -103,33 +130,78 @@ double EwaldSum::energy(const std::vector<Pos>& r, const std::vector<double>& q)
   return e_real + kspace_energy(r, q) + self_background(q);
 }
 
-template<typename Positions>
-static double kspace_energy_impl(const Lattice& lattice, const int mmax[3],
-                                 const std::vector<std::array<int, 3>>& kindex,
-                                 const std::vector<double>& kfac, const Positions& r,
-                                 const std::vector<double>& q)
+double EwaldSum::kspace_energy(const std::vector<Pos>& r, const std::vector<double>& q) const
 {
   PhaseTables tables;
-  tables.build(lattice.reciprocal_rows(), mmax, r);
+  tables.build(lattice_.reciprocal_rows(), mmax_, r);
   double e_recip = 0.0;
-  for (std::size_t kk = 0; kk < kindex.size(); ++kk)
+  for (std::size_t kk = 0; kk < kindex_.size(); ++kk)
   {
     std::complex<double> rho(0.0, 0.0);
     for (std::size_t i = 0; i < r.size(); ++i)
-      rho += q[i] * tables.phase(i, kindex[kk][0], kindex[kk][1], kindex[kk][2]);
-    e_recip += kfac[kk] * std::norm(rho);
+      rho += q[i] * tables.phase(i, kindex_[kk][0], kindex_[kk][1], kindex_[kk][2]);
+    e_recip += kfac_[kk] * std::norm(rho);
   }
   return e_recip;
 }
 
-double EwaldSum::kspace_energy(const std::vector<Pos>& r, const std::vector<double>& q) const
+template<typename TR>
+void EwaldSum::structure_factor(const TR* xs, const TR* ys, const TR* zs, std::size_t n, double q,
+                                double* rho_re, double* rho_im) const
 {
-  return kspace_energy_impl(lattice_, mmax_, kindex_, kfac_, r, q);
+  std::fill(rho_re, rho_re + kindex_.size(), 0.0);
+  std::fill(rho_im, rho_im + kindex_.size(), 0.0);
+  const auto& b = lattice_.reciprocal_rows();
+  std::vector<std::complex<double>> row[3];
+  for (int axis = 0; axis < 3; ++axis)
+    row[axis].resize(2 * mmax_[axis] + 1);
+  std::vector<double> c_re(row[2].size()), c_im(row[2].size());
+  for (std::size_t i = 0; i < n; ++i)
+  {
+    const Pos r{static_cast<double>(xs[i]), static_cast<double>(ys[i]),
+                static_cast<double>(zs[i])};
+    for (int axis = 0; axis < 3; ++axis)
+      phase_row(b[axis], r, mmax_[axis], row[axis].data());
+    for (std::size_t p = 0; p < row[2].size(); ++p)
+    {
+      c_re[p] = row[2][p].real();
+      c_im[p] = row[2][p].imag();
+    }
+    std::size_t kk = 0;
+    for (const KRun& run : kruns_)
+    {
+      // PhaseTables::phase is (t0 * t1) * t2 with std::complex's
+      // (ac - bd, ad + bc); written out, so the k loop vectorizes.
+      const std::complex<double> t0 = row[0][run.n0 + mmax_[0]];
+      const std::complex<double> t1 = row[1][run.n1 + mmax_[1]];
+      const FullPrecReal p_re = t0.real() * t1.real() - t0.imag() * t1.imag();
+      const FullPrecReal p_im = t0.real() * t1.imag() + t0.imag() * t1.real();
+      const double* __restrict cr = c_re.data() + (run.n2 + mmax_[2]);
+      const double* __restrict ci = c_im.data() + (run.n2 + mmax_[2]);
+      double* __restrict sr = rho_re + kk;
+      double* __restrict si = rho_im + kk;
+#pragma omp simd
+      for (int j = 0; j < run.len; ++j)
+      {
+        sr[j] += q * (p_re * cr[j] - p_im * ci[j]);
+        si[j] += q * (p_re * ci[j] + p_im * cr[j]);
+      }
+      kk += run.len;
+    }
+  }
 }
 
-double EwaldSum::kspace_energy(const SoaPosView& r, const std::vector<double>& q) const
+template void EwaldSum::structure_factor<float>(const float*, const float*, const float*,
+                                                std::size_t, double, double*, double*) const;
+template void EwaldSum::structure_factor<double>(const double*, const double*, const double*,
+                                                 std::size_t, double, double*, double*) const;
+
+double EwaldSum::kspace_energy(const double* rho_re, const double* rho_im) const
 {
-  return kspace_energy_impl(lattice_, mmax_, kindex_, kfac_, r, q);
+  double e_recip = 0.0;
+  for (std::size_t kk = 0; kk < kindex_.size(); ++kk)
+    e_recip += kfac_[kk] * (rho_re[kk] * rho_re[kk] + rho_im[kk] * rho_im[kk]);
+  return e_recip;
 }
 
 double EwaldSum::self_background(const std::vector<double>& q) const
@@ -180,23 +252,19 @@ double EwaldSum::interaction_energy_cached(const std::vector<Pos>& ra,
   return e_real + interaction_kspace_cached(ra, qa, fixed);
 }
 
-template<typename Positions>
-static double interaction_kspace_cached_impl(const Lattice& lattice, double alpha,
-                                             const int mmax[3],
-                                             const std::vector<std::array<int, 3>>& kindex,
-                                             const std::vector<double>& kfac,
-                                             const Positions& ra, const std::vector<double>& qa,
-                                             const EwaldSum::FixedSetFactors& fixed)
+double EwaldSum::interaction_kspace_cached(const std::vector<Pos>& ra,
+                                           const std::vector<double>& qa,
+                                           const FixedSetFactors& fixed) const
 {
   PhaseTables ta;
-  ta.build(lattice.reciprocal_rows(), mmax, ra);
+  ta.build(lattice_.reciprocal_rows(), mmax_, ra);
   double e_recip = 0.0;
-  for (std::size_t kk = 0; kk < kindex.size(); ++kk)
+  for (std::size_t kk = 0; kk < kindex_.size(); ++kk)
   {
     std::complex<double> rho_a(0.0, 0.0);
     for (std::size_t i = 0; i < ra.size(); ++i)
-      rho_a += qa[i] * ta.phase(i, kindex[kk][0], kindex[kk][1], kindex[kk][2]);
-    e_recip += kfac[kk] * 2.0 *
+      rho_a += qa[i] * ta.phase(i, kindex_[kk][0], kindex_[kk][1], kindex_[kk][2]);
+    e_recip += kfac_[kk] * 2.0 *
         (rho_a.real() * fixed.rho_re[kk] + rho_a.imag() * fixed.rho_im[kk]);
   }
 
@@ -204,21 +272,19 @@ static double interaction_kspace_cached_impl(const Lattice& lattice, double alph
   for (double qi : qa)
     qa_sum += qi;
   const double e_background =
-      -M_PI / (lattice.volume() * alpha * alpha) * qa_sum * fixed.q_sum;
+      -M_PI / (lattice_.volume() * alpha_ * alpha_) * qa_sum * fixed.q_sum;
   return e_recip + e_background;
 }
 
-double EwaldSum::interaction_kspace_cached(const std::vector<Pos>& ra,
-                                           const std::vector<double>& qa,
-                                           const FixedSetFactors& fixed) const
+double EwaldSum::interaction_kspace(const double* rho_re, const double* rho_im, double qa_sum,
+                                    const FixedSetFactors& fixed) const
 {
-  return interaction_kspace_cached_impl(lattice_, alpha_, mmax_, kindex_, kfac_, ra, qa, fixed);
-}
-
-double EwaldSum::interaction_kspace_cached(const SoaPosView& ra, const std::vector<double>& qa,
-                                           const FixedSetFactors& fixed) const
-{
-  return interaction_kspace_cached_impl(lattice_, alpha_, mmax_, kindex_, kfac_, ra, qa, fixed);
+  double e_recip = 0.0;
+  for (std::size_t kk = 0; kk < kindex_.size(); ++kk)
+    e_recip += kfac_[kk] * 2.0 * (rho_re[kk] * fixed.rho_re[kk] + rho_im[kk] * fixed.rho_im[kk]);
+  const double e_background =
+      -M_PI / (lattice_.volume() * alpha_ * alpha_) * qa_sum * fixed.q_sum;
+  return e_recip + e_background;
 }
 
 double EwaldSum::interaction_energy(const std::vector<Pos>& ra, const std::vector<double>& qa,

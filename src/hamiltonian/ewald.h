@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "containers/tiny_vector.h"
@@ -17,44 +18,6 @@
 
 namespace qmcxx
 {
-
-/// Read-only view of a position set stored as three SoA component rows
-/// (ParticleSet<TR>::Rsoa()). Components are widened to double per
-/// element exactly like ParticleSet::pos(), so feeding a view into the
-/// k-space sums is bitwise-identical to feeding the scatter-on-demand
-/// positions() copy -- without materializing that O(N) AoS vector on
-/// the per-energy-eval hot path (PR 3 layout contract).
-class SoaPosView
-{
-public:
-  using Pos = TinyVector<double, 3>;
-
-  SoaPosView(const double* xs, const double* ys, const double* zs, std::size_t n)
-      : dx_(xs), dy_(ys), dz_(zs), n_(n)
-  {}
-  SoaPosView(const float* xs, const float* ys, const float* zs, std::size_t n)
-      : fx_(xs), fy_(ys), fz_(zs), n_(n)
-  {}
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-
-  Pos operator[](std::size_t i) const
-  {
-    if (dx_ != nullptr)
-      return Pos{dx_[i], dy_[i], dz_[i]};
-    return Pos{static_cast<double>(fx_[i]), static_cast<double>(fy_[i]),
-               static_cast<double>(fz_[i])};
-  }
-
-private:
-  const double* dx_ = nullptr;
-  const double* dy_ = nullptr;
-  const double* dz_ = nullptr;
-  const float* fx_ = nullptr;
-  const float* fy_ = nullptr;
-  const float* fz_ = nullptr;
-  std::size_t n_ = 0;
-};
 
 class EwaldSum
 {
@@ -69,6 +32,10 @@ public:
   double alpha() const { return alpha_; }
   double rcut() const { return rcut_; }
   int num_kvectors() const { return static_cast<int>(kindex_.size()); }
+  /// Content key of the k-vector set (reciprocal rows, ranges, indices):
+  /// equal keys give bitwise-equal structure factors, so Coulomb terms
+  /// holding separate EwaldSums of one cell share a cached rho(k).
+  std::uint64_t kset_key() const { return kset_key_; }
 
   /// Total Coulomb energy of charges q at positions r (same length).
   double energy(const std::vector<Pos>& r, const std::vector<double>& q) const;
@@ -86,8 +53,18 @@ public:
   /// Reciprocal-space part of energy() alone.
   double kspace_energy(const std::vector<Pos>& r, const std::vector<double>& q) const;
 
-  /// SoA-view overload of kspace_energy: same sum, no AoS scatter.
-  double kspace_energy(const SoaPosView& r, const std::vector<double>& q) const;
+  /// Structure factor rho[k] = sum_i q e^{i k . r_i} of n particles of
+  /// charge q, from SoA position rows, into rho_re/rho_im (one slot per
+  /// k-vector). The particle loop is outermost and the k loop runs over
+  /// contiguous n2 runs in plain real arithmetic, so it vectorizes while
+  /// every rho[k] still sums in particle order: bitwise the rho the
+  /// std::vector<Pos> entry points build with all charges q.
+  template<typename TR>
+  void structure_factor(const TR* xs, const TR* ys, const TR* zs, std::size_t n, double q,
+                        double* rho_re, double* rho_im) const;
+
+  /// kspace_energy from a structure factor in hand.
+  double kspace_energy(const double* rho_re, const double* rho_im) const;
 
   /// Self-interaction and neutralizing-background corrections of
   /// energy() (positions-independent): -e_self + e_background.
@@ -122,10 +99,10 @@ public:
   double interaction_kspace_cached(const std::vector<Pos>& ra, const std::vector<double>& qa,
                                    const FixedSetFactors& fixed) const;
 
-  /// SoA-view overload of interaction_kspace_cached: same sum, no AoS
-  /// scatter of the per-call (electron) set.
-  double interaction_kspace_cached(const SoaPosView& ra, const std::vector<double>& qa,
-                                   const FixedSetFactors& fixed) const;
+  /// interaction_kspace_cached from the A-set structure factor in hand;
+  /// qa_sum is the A set's total charge.
+  double interaction_kspace(const double* rho_re, const double* rho_im, double qa_sum,
+                            const FixedSetFactors& fixed) const;
 
 private:
   double real_space_pair(const Pos& a, const Pos& b) const;
@@ -136,6 +113,13 @@ private:
   int mmax_[3] = {0, 0, 0};                 ///< per-axis integer k range
   std::vector<std::array<int, 3>> kindex_;  ///< integer k-vector indices
   std::vector<double> kfac_; ///< 2 pi/V * exp(-k^2/4a^2)/k^2 per k-vector
+  /// kindex_ as runs of consecutive n2 at fixed (n0, n1), in order.
+  struct KRun
+  {
+    int n0, n1, n2, len;
+  };
+  std::vector<KRun> kruns_;
+  std::uint64_t kset_key_ = 0;
 };
 
 } // namespace qmcxx

@@ -107,9 +107,11 @@ public:
         const FullPrecReal v_r = ch.radial(r);
         // Stage the whole angular fan (same radius r, new direction n_q
         // about the ion) and hand it to the wavefunction in one call:
-        // the determinants batch the fan through SPOSet::mw_evaluate_v
-        // (crowd-vectorized Bspline-v) with ratios bitwise identical to
-        // the per-point make_move/calc_ratio/reject_move sequence.
+        // each point's ee and ei rows are computed once for J1 and J2,
+        // and the determinants batch the fan through
+        // SPOSet::mw_evaluate_v (crowd-vectorized Bspline-v), with ratios
+        // bitwise identical to the per-point
+        // make_move/calc_ratio/reject_move sequence.
         const int nq = quad_.size();
         if (static_cast<int>(vpos_.size()) < nq)
         {

@@ -38,11 +38,12 @@ public:
     const std::size_t m = coefs_.size() - 3;
     delta_ = rcut_ / static_cast<T>(m);
     delta_inv_ = T(1) / delta_;
+    // Guard: for r just below rcut, r * delta_inv_ can round up to m,
+    // and segment m reads c[m + 3] (with weight t^3/6 = 0).
+    coefs_.push_back(T(0));
   }
 
   T cutoff() const { return rcut_; }
-  std::size_t num_coefs() const { return coefs_.size(); }
-  const aligned_vector<T>& coefs() const { return coefs_; }
 
   /// u(r); zero outside the cutoff.
   T evaluate(T r) const

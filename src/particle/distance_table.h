@@ -23,6 +23,9 @@
 //   move(P, rnew, k)    -- fill the temporary row vs. the proposed rnew
 //   update(k)           -- commit the temporary row on acceptance
 //   evaluate(P)         -- full O(N^2) refresh at measurement time
+// plus, for the NLPP quadrature fan (QMCPACK's VirtualParticleSet),
+//   make_virtual_moves(P, k, vpos, nr) -- one distance row per virtual
+//                          position, read by every ratio-only consumer
 #ifndef QMCXX_PARTICLE_DISTANCE_TABLE_H
 #define QMCXX_PARTICLE_DISTANCE_TABLE_H
 
@@ -32,7 +35,9 @@
 #include "containers/aligned_allocator.h"
 #include "containers/tiny_vector.h"
 #include "containers/vector_soa.h"
+#include "instrument/timer.h"
 #include "particle/lattice.h"
+#include "particle/min_image_kernel.h"
 
 namespace qmcxx
 {
@@ -88,7 +93,7 @@ public:
   using Pos = TinyVector<double, 3>;
 
   DistanceTable(const Lattice& lattice, int num_targets, int num_sources)
-      : lattice_(lattice), num_targets_(num_targets), num_sources_(num_sources)
+      : lattice_(lattice), mik_(lattice_), num_targets_(num_targets), num_sources_(num_sources)
   {
     temp_r_.resize(getAlignedSize<TR>(num_sources), TR(0));
   }
@@ -129,14 +134,47 @@ public:
   /// Temporary distances of the proposed position vs. all sources.
   const TR* temp_r() const { return temp_r_.data(); }
 
+  /// Virtual moves of target k: row q of virtual_distances() receives
+  /// the distances make_move(k, vpos[q]) would leave in temp_r(), for
+  /// q < nr, one DistTable-timed row each. Committed rows, the temp row
+  /// and the positions are untouched. The rows are allocated on first
+  /// use and stay valid until the next call.
+  void make_virtual_moves(const ParticleSet<TR>& p, int k, const Pos* vpos, int nr)
+  {
+    const std::size_t np = temp_r_.size();
+    if (virtual_d_.size() < static_cast<std::size_t>(nr) * np)
+      virtual_d_.resize(static_cast<std::size_t>(nr) * np, TR(0));
+    if (virtual_scratch_.size() < 3 * np)
+      virtual_scratch_.resize(3 * np, TR(0));
+    TR* scratch = virtual_scratch_.data();
+    for (int q = 0; q < nr; ++q)
+    {
+      ScopedTimer dt_timer(Kernel::DistTable);
+      fill_row(p, vpos[q], k, virtual_d_.data() + static_cast<std::size_t>(q) * np, scratch,
+               scratch + np, scratch + 2 * np);
+    }
+  }
+  const TR* virtual_distances(int q) const
+  {
+    return virtual_d_.data() + static_cast<std::size_t>(q) * temp_r_.size();
+  }
+
   /// Bytes of committed-table storage (for the memory experiments).
   virtual std::size_t storage_bytes() const = 0;
 
 protected:
+  /// The move kernel into caller storage: pair data from rnew to every
+  /// source, the self pair of an AA table (target k) set to DT_BIG_R.
+  virtual void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
+                        TR* dz) const = 0;
+
   Lattice lattice_; // by value: tables outlive any caller-owned lattice
+  MinImageKernel<TR> mik_;
   int num_targets_;
   int num_sources_;
   aligned_vector<TR> temp_r_;
+  aligned_vector<TR> virtual_d_;       ///< make_virtual_moves rows, stride temp_r_.size()
+  aligned_vector<TR> virtual_scratch_; ///< their displacements (not kept)
 };
 
 } // namespace qmcxx

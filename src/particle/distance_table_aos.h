@@ -32,7 +32,7 @@ public:
   using DisplRow = std::vector<TinyVector<TR, 3>>;
 
   AosDistanceTableAA(const Lattice& lattice, int n)
-      : Base(lattice, n, n), mik_(this->lattice_),
+      : Base(lattice, n, n),
         utri_(static_cast<std::size_t>(n) * (n - 1) / 2, TR(0)),
         utri_dr_(static_cast<std::size_t>(n) * (n - 1) / 2),
         temp_dr_(n)
@@ -60,7 +60,7 @@ public:
       // Shared row kernel over the partial row j > i, then the packed
       // AoS scatter into the triangle (the Fig. 6a storage cost).
       const int count = n - i - 1;
-      min_image_row(mik_, xs + i + 1, ys + i + 1, zs + i + 1, p.Rsoa()(0, i), p.Rsoa()(1, i),
+      min_image_row(this->mik_, xs + i + 1, ys + i + 1, zs + i + 1, p.Rsoa()(0, i), p.Rsoa()(1, i),
                     p.Rsoa()(2, i), count, scr_d_.data(), scr_dx_.data(), scr_dy_.data(),
                     scr_dz_.data());
       const std::size_t base = loc(i, i + 1);
@@ -76,10 +76,7 @@ public:
   {
     ScopedTimer dt_timer(Kernel::DistTable);
     const int n = this->num_targets_;
-    min_image_row(mik_, p.Rsoa().data(0), p.Rsoa().data(1), p.Rsoa().data(2),
-                  static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]), n,
-                  this->temp_r_.data(), tscr_dx_.data(), tscr_dy_.data(), tscr_dz_.data());
-    this->temp_r_[k] = DT_BIG_R<TR>;
+    fill_row(p, rnew, k, this->temp_r_.data(), tscr_dx_.data(), tscr_dy_.data(), tscr_dz_.data());
     // AoS packing of the temporary displacements, one TinyVector at a
     // time (deliberately scalar, Fig. 6a).
     for (int j = 0; j < n; ++j)
@@ -171,6 +168,16 @@ public:
     return utri_.size() * sizeof(TR) + utri_dr_.size() * sizeof(TinyVector<TR, 3>);
   }
 
+protected:
+  void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
+                TR* dz) const override
+  {
+    min_image_row(this->mik_, p.Rsoa().data(0), p.Rsoa().data(1), p.Rsoa().data(2),
+                  static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]),
+                  this->num_targets_, d, dx, dy, dz);
+    d[k] = DT_BIG_R<TR>;
+  }
+
 private:
   /// Packed location of pair (i,j) with i < j.
   std::size_t loc(int i, int j) const
@@ -180,7 +187,6 @@ private:
         (j - i - 1);
   }
 
-  MinImageKernel<TR> mik_;
   std::vector<TR> utri_;
   std::vector<TinyVector<TR, 3>> utri_dr_;
   DisplRow temp_dr_;
@@ -203,7 +209,7 @@ public:
   using DisplRow = std::vector<TinyVector<TR, 3>>;
 
   AosDistanceTableAB(const Lattice& lattice, const ParticleSet<TR>& source, int num_targets)
-      : Base(lattice, num_targets, source.size()), source_(&source), mik_(this->lattice_),
+      : Base(lattice, num_targets, source.size()), source_(&source),
         d_(num_targets, std::vector<TR>(source.size(), TR(0))),
         dr_(num_targets, DisplRow(source.size())),
         temp_dr_(source.size())
@@ -236,17 +242,18 @@ public:
   {
     ScopedTimer dt_timer(Kernel::DistTable);
     for (int i = 0; i < this->num_targets_; ++i)
-      compute_row(p.Rsoa()(0, i), p.Rsoa()(1, i), p.Rsoa()(2, i), d_[i].data(), dr_[i]);
+    {
+      compute_row(p.Rsoa()(0, i), p.Rsoa()(1, i), p.Rsoa()(2, i), d_[i].data(), scr_dx_.data(),
+                  scr_dy_.data(), scr_dz_.data());
+      pack(scr_dx_.data(), scr_dy_.data(), scr_dz_.data(), dr_[i]);
+    }
   }
 
   void move(const ParticleSet<TR>& p, const Pos& rnew, int k) override
   {
     ScopedTimer dt_timer(Kernel::DistTable);
-    (void)p;
-    (void)k;
-    compute_row(static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]),
-                this->temp_r_.data(), temp_dr_, tscr_dx_.data(), tscr_dy_.data(),
-                tscr_dz_.data());
+    fill_row(p, rnew, k, this->temp_r_.data(), tscr_dx_.data(), tscr_dy_.data(), tscr_dz_.data());
+    pack(tscr_dx_.data(), tscr_dy_.data(), tscr_dz_.data(), temp_dr_);
   }
 
   void update(int k) override
@@ -294,22 +301,31 @@ public:
     return per_row * this->num_targets_;
   }
 
-private:
-  void compute_row(TR x0, TR y0, TR z0, TR* d_row, DisplRow& dr_row)
+protected:
+  void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
+                TR* dz) const override
   {
-    compute_row(x0, y0, z0, d_row, dr_row, scr_dx_.data(), scr_dy_.data(), scr_dz_.data());
+    (void)p;
+    (void)k;
+    compute_row(static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]), d,
+                dx, dy, dz);
   }
 
-  void compute_row(TR x0, TR y0, TR z0, TR* d_row, DisplRow& dr_row, TR* dx, TR* dy, TR* dz)
+private:
+  void compute_row(TR x0, TR y0, TR z0, TR* d, TR* dx, TR* dy, TR* dz) const
   {
-    const int m = this->num_sources_;
-    min_image_row(mik_, sx_.data(), sy_.data(), sz_.data(), x0, y0, z0, m, d_row, dx, dy, dz);
-    for (int j = 0; j < m; ++j)
+    min_image_row(this->mik_, sx_.data(), sy_.data(), sz_.data(), x0, y0, z0, this->num_sources_,
+                  d, dx, dy, dz);
+  }
+
+  /// AoS packing of one row's displacements (deliberately scalar, Fig. 6a).
+  void pack(const TR* dx, const TR* dy, const TR* dz, DisplRow& dr_row) const
+  {
+    for (int j = 0; j < this->num_sources_; ++j)
       dr_row[j] = TinyVector<TR, 3>{dx[j], dy[j], dz[j]};
   }
 
   const ParticleSet<TR>* source_;
-  MinImageKernel<TR> mik_;
   std::vector<std::vector<TR>> d_;
   std::vector<DisplRow> dr_;
   DisplRow temp_dr_;

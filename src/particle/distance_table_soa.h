@@ -38,7 +38,7 @@ public:
 
   SoaDistanceTableAA(const Lattice& lattice, int n,
                      DTUpdateMode mode = DTUpdateMode::OnTheFly)
-      : Base(lattice, n, n), mode_(mode), mik_(this->lattice_)
+      : Base(lattice, n, n), mode_(mode)
   {
     d_.resize(n, n, /*pad_rows=*/true);
     dx_.resize(n, n, true);
@@ -84,9 +84,7 @@ public:
   void move(const ParticleSet<TR>& p, const Pos& rnew, int k) override
   {
     ScopedTimer dt_timer(Kernel::DistTable);
-    compute_row(p, static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]),
-                this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
-    this->temp_r_[k] = DT_BIG_R<TR>;
+    fill_row(p, rnew, k, this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
   }
 
   void update(int k) override
@@ -151,16 +149,24 @@ public:
     return 4 * d_.rows() * d_.stride() * sizeof(TR);
   }
 
+protected:
+  void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
+                TR* dz) const override
+  {
+    compute_row(p, static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]), d,
+                dx, dy, dz);
+    d[k] = DT_BIG_R<TR>;
+  }
+
 private:
   void compute_row(const ParticleSet<TR>& p, TR x0, TR y0, TR z0, TR* __restrict d,
                    TR* __restrict dx, TR* __restrict dy, TR* __restrict dz) const
   {
-    min_image_row(mik_, p.Rsoa().data(0), p.Rsoa().data(1), p.Rsoa().data(2), x0, y0, z0,
+    min_image_row(this->mik_, p.Rsoa().data(0), p.Rsoa().data(1), p.Rsoa().data(2), x0, y0, z0,
                   this->num_targets_, d, dx, dy, dz);
   }
 
   DTUpdateMode mode_;
-  MinImageKernel<TR> mik_;
   Matrix<TR> d_, dx_, dy_, dz_;
   aligned_vector<TR> temp_dx_, temp_dy_, temp_dz_;
 };
@@ -176,7 +182,7 @@ public:
   using Pos = typename Base::Pos;
 
   SoaDistanceTableAB(const Lattice& lattice, const ParticleSet<TR>& source, int num_targets)
-      : Base(lattice, num_targets, source.size()), source_(&source), mik_(this->lattice_)
+      : Base(lattice, num_targets, source.size()), source_(&source)
   {
     const int m = source.size();
     d_.resize(num_targets, m, true);
@@ -214,10 +220,7 @@ public:
   void move(const ParticleSet<TR>& p, const Pos& rnew, int k) override
   {
     ScopedTimer dt_timer(Kernel::DistTable);
-    (void)p;
-    (void)k;
-    compute_row(static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]),
-                this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
+    fill_row(p, rnew, k, this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
   }
 
   void update(int k) override
@@ -268,16 +271,25 @@ public:
     return 4 * d_.rows() * d_.stride() * sizeof(TR);
   }
 
+protected:
+  void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
+                TR* dz) const override
+  {
+    (void)p;
+    (void)k;
+    compute_row(static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]), d,
+                dx, dy, dz);
+  }
+
 private:
   void compute_row(TR x0, TR y0, TR z0, TR* __restrict d, TR* __restrict dx, TR* __restrict dy,
                    TR* __restrict dz) const
   {
-    min_image_row(mik_, sx_.data(), sy_.data(), sz_.data(), x0, y0, z0, this->num_sources_, d, dx,
-                  dy, dz);
+    min_image_row(this->mik_, sx_.data(), sy_.data(), sz_.data(), x0, y0, z0, this->num_sources_,
+                  d, dx, dy, dz);
   }
 
   const ParticleSet<TR>* source_;
-  MinImageKernel<TR> mik_;
   Matrix<TR> d_, dx_, dy_, dz_;
   aligned_vector<TR> sx_, sy_, sz_;
   aligned_vector<TR> temp_dx_, temp_dy_, temp_dz_;

@@ -7,13 +7,17 @@
 // Reference-mode run must reproduce the canonical chains exactly.
 //
 // Orthorhombic cells use a branch-free component-wise wrap in compute
-// precision; skewed (hexagonal etc.) cells use the vectorizable
-// reduced-wrap + 8-corner search, the general-cell scheme QMCPACK's SoA
-// tables employ.
+// precision; skewed (hexagonal etc.) cells use the reduced wrap plus
+// the 8-corner search, the general-cell scheme QMCPACK's SoA tables
+// employ. Both row loops vectorize at the baseline ISA: rounding is
+// plain arithmetic (round_half_even) instead of a libm call, the corner
+// search is unrolled, and the library builds with -fno-math-errno
+// -fno-trapping-math so sqrt and the selects if-convert (CMakeLists.txt).
 #ifndef QMCXX_PARTICLE_MIN_IMAGE_KERNEL_H
 #define QMCXX_PARTICLE_MIN_IMAGE_KERNEL_H
 
 #include <cmath>
+#include <limits>
 
 #include "containers/tiny_vector.h"
 #include "particle/lattice.h"
@@ -54,10 +58,26 @@ struct MinImageKernel
   TR cell[3][3]; ///< lattice vectors (rows)
 };
 
-/// Vectorizable general-cell row kernel: reduced wrap plus the 8-corner
-/// candidate search over sign-directed lattice shifts. Exact for all the
-/// cells used by the workloads (validated against the 27-image search in
-/// the tests).
+/// Round to nearest, ties to even: bitwise equal to std::nearbyint in
+/// the default rounding mode for every finite and infinite input, but
+/// plain arithmetic and one select, so the row loops vectorize where
+/// nearbyint is a libm call. Below C = 1/epsilon, adding and removing C
+/// rounds the fraction off in the FPU's own ties-to-even mode; from C
+/// up every value is already an integer. (Adding back |f| - min(|f|, C)
+/// instead of the select is one ulp off for odd-mantissa inputs in
+/// [2^47, 2^48) in float and [2^105, 2^106) in double.)
+template<typename TR>
+inline TR round_half_even(TR f)
+{
+  constexpr TR c = TR(1) / std::numeric_limits<TR>::epsilon();
+  const TR a = std::abs(f);
+  return std::copysign(a < c ? (a + c) - c : a, f);
+}
+
+/// General-cell row kernel: reduced wrap plus the 8-corner candidate
+/// search over sign-directed lattice shifts. Exact for all the cells
+/// used by the workloads (validated against the 27-image search in the
+/// tests).
 template<typename TR>
 inline void general_cell_row(const MinImageKernel<TR>& mik, const TR* __restrict xs,
                              const TR* __restrict ys, const TR* __restrict zs, TR x0, TR y0, TR z0,
@@ -79,12 +99,12 @@ inline void general_cell_row(const MinImageKernel<TR>& mik, const TR* __restrict
     TR f0 = i00 * rx + i01 * ry + i02 * rz;
     TR f1 = i10 * rx + i11 * ry + i12 * rz;
     TR f2 = i20 * rx + i21 * ry + i22 * rz;
-    f0 -= std::nearbyint(f0);
-    f1 -= std::nearbyint(f1);
-    f2 -= std::nearbyint(f2);
-    TR bx = f0 * a00 + f1 * a10 + f2 * a20;
-    TR by = f0 * a01 + f1 * a11 + f2 * a21;
-    TR bz = f0 * a02 + f1 * a12 + f2 * a22;
+    f0 -= round_half_even(f0);
+    f1 -= round_half_even(f1);
+    f2 -= round_half_even(f2);
+    const TR bx = f0 * a00 + f1 * a10 + f2 * a20;
+    const TR by = f0 * a01 + f1 * a11 + f2 * a21;
+    const TR bz = f0 * a02 + f1 * a12 + f2 * a22;
     TR best2 = bx * bx + by * by + bz * bz;
     TR ox = bx, oy = by, oz = bz;
     // Sign-directed corner shifts.
@@ -94,18 +114,27 @@ inline void general_cell_row(const MinImageKernel<TR>& mik, const TR* __restrict
     const TR c0x = s0 * a00, c0y = s0 * a01, c0z = s0 * a02;
     const TR c1x = s1 * a10, c1y = s1 * a11, c1z = s1 * a12;
     const TR c2x = s2 * a20, c2y = s2 * a21, c2z = s2 * a22;
-    for (int m = 1; m < 8; ++m)
-    {
-      const TR sx = bx + (m & 1 ? c0x : TR(0)) + (m & 2 ? c1x : TR(0)) + (m & 4 ? c2x : TR(0));
-      const TR sy = by + (m & 1 ? c0y : TR(0)) + (m & 2 ? c1y : TR(0)) + (m & 4 ? c2y : TR(0));
-      const TR sz = bz + (m & 1 ? c0z : TR(0)) + (m & 2 ? c1z : TR(0)) + (m & 4 ? c2z : TR(0));
+    // Candidates b + sum of the shifts in corner m's bits, m = 1..7 in
+    // order, unrolled (an inner loop blocks vectorization); the strict <
+    // keeps the first minimum. The sums start from b + 0, which turns a
+    // -0 into +0 exactly as the zero terms of a masked
+    // b + (m&1 ? c0 : 0) + (m&2 ? c1 : 0) + (m&4 ? c2 : 0) would.
+    const TR px = bx + TR(0), py = by + TR(0), pz = bz + TR(0);
+    const auto corner = [&](TR sx, TR sy, TR sz) {
       const TR r2 = sx * sx + sy * sy + sz * sz;
       const bool better = r2 < best2;
       best2 = better ? r2 : best2;
       ox = better ? sx : ox;
       oy = better ? sy : oy;
       oz = better ? sz : oz;
-    }
+    };
+    corner(px + c0x, py + c0y, pz + c0z);
+    corner(px + c1x, py + c1y, pz + c1z);
+    corner(px + c0x + c1x, py + c0y + c1y, pz + c0z + c1z);
+    corner(px + c2x, py + c2y, pz + c2z);
+    corner(px + c0x + c2x, py + c0y + c2y, pz + c0z + c2z);
+    corner(px + c1x + c2x, py + c1y + c2y, pz + c1z + c2z);
+    corner(px + c0x + c1x + c2x, py + c0y + c1y + c2y, pz + c0z + c1z + c2z);
     d[j] = std::sqrt(best2);
     dx[j] = ox;
     dy[j] = oy;
@@ -128,9 +157,9 @@ inline void ortho_cell_row(const MinImageKernel<TR>& mik, const TR* __restrict x
     TR ddx = xs[j] - x0;
     TR ddy = ys[j] - y0;
     TR ddz = zs[j] - z0;
-    ddx -= lx * std::nearbyint(ddx * ix);
-    ddy -= ly * std::nearbyint(ddy * iy);
-    ddz -= lz * std::nearbyint(ddz * iz);
+    ddx -= lx * round_half_even(ddx * ix);
+    ddy -= ly * round_half_even(ddy * iy);
+    ddz -= lz * round_half_even(ddz * iz);
     d[j] = std::sqrt(ddx * ddx + ddy * ddy + ddz * ddz);
     dx[j] = ddx;
     dy[j] = ddy;

@@ -10,16 +10,22 @@
 // accepted move writes the "6 floats" of Sec. 7.3 and nothing else.
 // Distance tables hang off the set and are driven through the
 // prepare_move / make_move / accept_move / reject_move protocol of the
-// PbyP update. The template parameter TR is the compute (table)
-// precision: double for Ref, float under mixed precision.
+// PbyP update; make_virtual_moves fills the NLPP quadrature fan's rows
+// once for every ratio-only consumer. Every position write bumps
+// version(), which keys the per-configuration caches (the AoS view and
+// the electron structure factor the Coulomb terms share). The template
+// parameter TR is the compute (table) precision: double for Ref, float
+// under mixed precision.
 #ifndef QMCXX_PARTICLE_PARTICLE_SET_H
 #define QMCXX_PARTICLE_PARTICLE_SET_H
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "config/config.h"
 #include "containers/mw_types.h"
 #include "containers/tiny_vector.h"
 #include "containers/vector_soa.h"
@@ -66,7 +72,7 @@ public:
       group_last_.push_back(total);
     }
     rsoa_.resize(total);
-    aos_dirty_ = true;
+    ++version_;
     group_id_.resize(total);
     for (std::size_t g = 0; g < counts.size(); ++g)
       for (int i = group_first_[g]; i < group_last_[g]; ++i)
@@ -99,7 +105,7 @@ public:
   void set_pos(int i, const Pos& r)
   {
     rsoa_.assign(i, r);
-    aos_dirty_ = true;
+    ++version_;
   }
 
   /// Bulk AoS ingestion: the single surviving AoS-to-SoA conversion
@@ -110,8 +116,13 @@ public:
   {
     assert(r.size() == rsoa_.size());
     rsoa_ = r;
-    aos_dirty_ = true;
+    ++version_;
   }
+
+  /// Bumped by every position write (set_pos, set_positions and so
+  /// load_walker, accept_move): caches of position-derived data are
+  /// current while their recorded version equals this.
+  std::uint64_t version() const { return version_; }
 
   /// Scatter-on-demand AoS view of all positions (double precision),
   /// cached until the next position write. For consumers that need the
@@ -119,15 +130,29 @@ public:
   /// use Rsoa() rows instead.
   const std::vector<Pos>& positions() const
   {
-    if (aos_dirty_)
+    if (aos_version_ != version_)
     {
       aos_view_.resize(rsoa_.size());
       for (std::size_t i = 0; i < rsoa_.size(); ++i)
         aos_view_[i] = pos(static_cast<int>(i));
-      aos_dirty_ = false;
+      aos_version_ = version_;
     }
     return aos_view_;
   }
+
+  /// Cache slot for the electron structure factor rho(k) of the current
+  /// configuration (QMCPACK keeps one per ParticleSet too): filled and
+  /// shared by the Coulomb terms through electron_rho
+  /// (hamiltonian/coulomb.h). It is current while `version` equals
+  /// version() and `kset` names the k-vectors it was summed over. A
+  /// clone starts empty, so crowd slots never share one.
+  struct StructureFactor
+  {
+    std::uint64_t version = 0; ///< version() it was computed at; 0 = never
+    std::uint64_t kset = 0;    ///< EwaldSum::kset_key() of its k-vectors
+    std::vector<FullPrecReal> re, im;
+  };
+  StructureFactor& structure_factor() { return sk_; }
 
   /// Refresh all distance tables from the canonical positions
   /// (measurement state). No layout mirroring happens here.
@@ -179,6 +204,16 @@ public:
       dt->prepare_move(*this, k);
   }
 
+  /// Virtual moves of particle k to vpos[0..nr) (the NLPP quadrature
+  /// fan): every table fills one virtual distance row per position,
+  /// once for all the ratio-only consumers. Nothing is proposed or
+  /// committed, and the temp rows keep the last make_move.
+  void make_virtual_moves(int k, const Pos* vpos, int nr)
+  {
+    for (auto& dt : tables_)
+      dt->make_virtual_moves(*this, k, vpos, nr);
+  }
+
   /// Propose moving particle k to newpos: fills all temporary rows.
   void make_move(int k, const Pos& newpos)
   {
@@ -192,7 +227,7 @@ public:
   {
     assert(k == active_);
     rsoa_.assign(k, active_pos_); // the "6 floats" update of Sec. 7.3
-    aos_dirty_ = true;
+    ++version_;
     for (auto& dt : tables_)
       dt->update(k);
     active_ = -1;
@@ -285,8 +320,10 @@ private:
   std::vector<int> group_first_;
   std::vector<int> group_last_;
   VectorSoaContainer<TR, 3> rsoa_; ///< canonical SoA storage (Fig. 5)
+  std::uint64_t version_ = 1;
   mutable std::vector<Pos> aos_view_; ///< scatter-on-demand compat view
-  mutable bool aos_dirty_ = true;
+  mutable std::uint64_t aos_version_ = 0;
+  StructureFactor sk_;
   std::vector<std::unique_ptr<DistanceTable<TR>>> tables_;
   int active_ = -1;
   Pos active_pos_{};

@@ -28,6 +28,8 @@ template<typename TR>
 class OneBodyJastrowBase : public WaveFunctionComponent<TR>
 {
 public:
+  using typename WaveFunctionComponent<TR>::Pos;
+
   /// ions: the source set (for species layout); table_index: AB table in
   /// the electron set.
   OneBodyJastrowBase(const ParticleSet<TR>& ions, int num_elec, int table_index)
@@ -72,7 +74,24 @@ public:
     WaveFunctionComponent<TR>::mw_accept_reject(wfc_list, p_list, k, is_accepted, resource);
   }
 
+  /// NLPP fan from the AB table's virtual rows: the same reduction
+  /// ratio() runs on the temp row, once per quadrature point.
+  void ratios_virtual(ParticleSet<TR>& p, int k, const Pos* vpos, int nr,
+                      double* ratios) override
+  {
+    (void)vpos;
+    ScopedTimer timer(Kernel::J1);
+    const auto& dt = p.table(table_index_);
+    for (int q = 0; q < nr; ++q)
+      ratios[q] = std::exp(log_ratio(dt.virtual_distances(q), k));
+    this->reject_move(k);
+  }
+
 protected:
+  /// log psi(r')/psi(R) for moving electron k to the position whose
+  /// electron-ion distances are `dist` (a temp or virtual row).
+  virtual FullPrecReal log_ratio(const TR* dist, int k) const = 0;
+
   int nel_;
   int nion_;
   int table_index_;
@@ -139,15 +158,8 @@ public:
   double ratio(ParticleSet<TR>& p, int k) override
   {
     ScopedTimer timer(Kernel::J1);
-    auto& dt = p.template table_as<AosDistanceTableAB<TR>>(this->table_index_);
-    const TR* tr = dt.temp_r();
-    FullPrecReal delta = 0.0;
-    for (int j = 0; j < this->nion_; ++j)
-      delta += static_cast<double>(this->functor(this->ion_group_[j]).evaluate(tr[j])) -
-          static_cast<double>(u_(k, j));
-    cur_delta_ = delta;
     cur_valid_ = false;
-    return std::exp(-delta);
+    return std::exp(log_ratio(p.table(this->table_index_).temp_r(), k));
   }
 
   double ratio_grad(ParticleSet<TR>& p, int k, Grad& grad) override
@@ -238,6 +250,16 @@ public:
     buf.get(this->log_value_);
   }
 
+protected:
+  FullPrecReal log_ratio(const TR* dist, int k) const override
+  {
+    FullPrecReal delta = 0.0;
+    for (int j = 0; j < this->nion_; ++j)
+      delta += static_cast<double>(this->functor(this->ion_group_[j]).evaluate(dist[j])) -
+          static_cast<double>(u_(k, j));
+    return -delta;
+  }
+
 private:
   GradT& gu(int i, int j) { return gu_[static_cast<std::size_t>(i) * this->nion_ + j]; }
   const GradT& gu(int i, int j) const
@@ -322,16 +344,8 @@ public:
   double ratio(ParticleSet<TR>& p, int k) override
   {
     ScopedTimer timer(Kernel::J1);
-    const auto& dt = p.table(this->table_index_);
-    FullPrecReal unew = 0.0;
-    for (int gI = 0; gI < static_cast<int>(this->functors_.size()); ++gI)
-    {
-      const int first = this->ion_first_[gI];
-      const int count = this->ion_last_[gI] - first;
-      unew += static_cast<double>(this->functor(gI).evaluateV(dt.temp_r() + first, count));
-    }
     cur_valid_ = false;
-    return std::exp(static_cast<double>(vat_[k]) - unew);
+    return std::exp(log_ratio(p.table(this->table_index_).temp_r(), k));
   }
 
   double ratio_grad(ParticleSet<TR>& p, int k, Grad& grad) override
@@ -402,6 +416,19 @@ public:
     for (unsigned d = 0; d < 3; ++d)
       buf.get(dvat_.data(d), this->nel_);
     buf.get(this->log_value_);
+  }
+
+protected:
+  FullPrecReal log_ratio(const TR* dist, int k) const override
+  {
+    FullPrecReal unew = 0.0;
+    for (int gI = 0; gI < static_cast<int>(this->functors_.size()); ++gI)
+    {
+      const int first = this->ion_first_[gI];
+      const int count = this->ion_last_[gI] - first;
+      unew += static_cast<double>(this->functor(gI).evaluateV(dist + first, count));
+    }
+    return static_cast<double>(vat_[k]) - unew;
   }
 
 private:

@@ -38,6 +38,8 @@ template<typename TR>
 class TwoBodyJastrowBase : public WaveFunctionComponent<TR>
 {
 public:
+  using typename WaveFunctionComponent<TR>::Pos;
+
   TwoBodyJastrowBase(int num_elec, int num_groups, int table_index)
       : nel_(num_elec), ngroups_(num_groups), table_index_(table_index),
         functors_(num_groups * num_groups)
@@ -74,7 +76,25 @@ public:
     WaveFunctionComponent<TR>::mw_accept_reject(wfc_list, p_list, k, is_accepted, resource);
   }
 
+  /// NLPP fan from the AA table's virtual rows: the same reduction
+  /// ratio() runs on the temp row, once per quadrature point.
+  void ratios_virtual(ParticleSet<TR>& p, int k, const Pos* vpos, int nr,
+                      double* ratios) override
+  {
+    (void)vpos;
+    ScopedTimer timer(Kernel::J2);
+    const auto& dt = p.table(table_index_);
+    for (int q = 0; q < nr; ++q)
+      ratios[q] = std::exp(log_ratio(p, dt.virtual_distances(q), k));
+    this->reject_move(k);
+  }
+
 protected:
+  /// log psi(r')/psi(R) for moving electron k to the position whose
+  /// electron-electron distances are `dist` (a temp or virtual row, the
+  /// self entry k ignored).
+  virtual FullPrecReal log_ratio(const ParticleSet<TR>& p, const TR* dist, int k) const = 0;
+
   int nel_;
   int ngroups_;
   int table_index_;
@@ -151,19 +171,8 @@ public:
   double ratio(ParticleSet<TR>& p, int k) override
   {
     ScopedTimer timer(Kernel::J2);
-    auto& dt = p.template table_as<AosDistanceTableAA<TR>>(this->table_index_);
-    const TR* tr = dt.temp_r();
-    FullPrecReal delta = 0.0; // u_new - u_old
-    for (int j = 0; j < this->nel_; ++j)
-    {
-      if (j == k)
-        continue;
-      const auto& f = this->functor(p.group_id(k), p.group_id(j));
-      delta += static_cast<double>(f.evaluate(tr[j])) - static_cast<double>(u_(k, j));
-    }
-    cur_delta_ = delta;
     cur_valid_ = false;
-    return std::exp(-delta);
+    return std::exp(log_ratio(p, p.table(this->table_index_).temp_r(), k));
   }
 
   double ratio_grad(ParticleSet<TR>& p, int k, Grad& grad) override
@@ -269,6 +278,20 @@ public:
     buf.get(this->log_value_);
   }
 
+protected:
+  FullPrecReal log_ratio(const ParticleSet<TR>& p, const TR* dist, int k) const override
+  {
+    FullPrecReal delta = 0.0; // u_new - u_old
+    for (int j = 0; j < this->nel_; ++j)
+    {
+      if (j == k)
+        continue;
+      const auto& f = this->functor(p.group_id(k), p.group_id(j));
+      delta += static_cast<double>(f.evaluate(dist[j])) - static_cast<double>(u_(k, j));
+    }
+    return -delta;
+  }
+
 private:
   GradT& gu(int i, int j) { return gu_[static_cast<std::size_t>(i) * this->nel_ + j]; }
   const GradT& gu(int i, int j) const
@@ -371,10 +394,8 @@ public:
   double ratio(ParticleSet<TR>& p, int k) override
   {
     ScopedTimer timer(Kernel::J2);
-    const auto& dt = p.table(this->table_index_);
-    const FullPrecReal unew = sum_u(p, dt.temp_r(), k);
     cur_valid_ = false;
-    return std::exp(static_cast<double>(uat_[k]) - unew);
+    return std::exp(log_ratio(p, p.table(this->table_index_).temp_r(), k));
   }
 
   double ratio_grad(ParticleSet<TR>& p, int k, Grad& grad) override
@@ -504,6 +525,12 @@ public:
     for (unsigned d = 0; d < 3; ++d)
       buf.get(duat_.data(d), this->nel_);
     buf.get(this->log_value_);
+  }
+
+protected:
+  FullPrecReal log_ratio(const ParticleSet<TR>& p, const TR* dist, int k) const override
+  {
+    return static_cast<double>(uat_[k]) - sum_u(p, dist, k);
   }
 
 private:

@@ -81,13 +81,15 @@ public:
   }
 
   /// Value-only ratios for a fan of nr virtual positions of particle k
-  /// (the NLPP angular quadrature): ratios[q] = psi(r_q)/psi(R). Each
-  /// component sees the whole fan at once (batched SPO evaluation in
-  /// the determinants); per-position products accumulate in component
-  /// order, so every ratios[q] is bitwise identical to the scalar
-  /// make_move/calc_ratio/reject_move sequence over the fan.
+  /// (the NLPP angular quadrature): ratios[q] = psi(r_q)/psi(R). The
+  /// particle set computes each position's table rows once, then every
+  /// component sees the whole fan (J1/J2 read the virtual rows, the
+  /// determinants batch the SPO evaluation); per-position products
+  /// accumulate in component order, so every ratios[q] is bitwise
+  /// identical to the scalar make_move/calc_ratio/reject_move sequence.
   void calc_ratios(ParticleSet<TR>& p, int k, const Pos* vpos, int nr, double* ratios)
   {
+    p.make_virtual_moves(k, vpos, nr);
     for (int q = 0; q < nr; ++q)
       ratios[q] = 1.0;
     if (ratio_fan_scratch_.size() < static_cast<std::size_t>(nr))

@@ -60,20 +60,14 @@ public:
 
   /// Value-only ratios for a fan of nr virtual positions of particle k
   /// (the NLPP angular quadrature, Sec. 3): ratios[q] receives
-  /// psi(r_q)/psi(R). None of the moves is committed and the component's
-  /// transient state afterwards matches a scalar make_move/ratio/
-  /// reject_move sweep over the fan in order. The default is exactly
-  /// that sweep; components able to batch the fan (DiracDeterminant
-  /// handing all positions to SPOSet::mw_evaluate_v) override it.
-  virtual void ratios_virtual(ParticleSet<TR>& p, int k, const Pos* vpos, int nr, double* ratios)
-  {
-    for (int q = 0; q < nr; ++q)
-    {
-      p.make_move(k, vpos[q]);
-      ratios[q] = ratio(p, k);
-      p.reject_move(k);
-    }
-  }
+  /// psi(r_q)/psi(R), bitwise what make_move(k, vpos[q]) followed by
+  /// ratio() would return. The caller has filled the particle set's
+  /// virtual rows for the fan (ParticleSet::make_virtual_moves), so
+  /// table-reading components take each ratio from those rows; the
+  /// determinants batch the positions through SPOSet::mw_evaluate_v.
+  /// No move is staged afterwards, as after reject_move.
+  virtual void ratios_virtual(ParticleSet<TR>& p, int k, const Pos* vpos, int nr,
+                              double* ratios) = 0;
 
   /// Ratio plus gradient of log psi at the proposed position.
   virtual double ratio_grad(ParticleSet<TR>& p, int k, Grad& grad) = 0;

@@ -3,10 +3,16 @@
 // the PbyP move protocol (paper Fig. 6), and the layout-parity
 // guarantees: Reference (AoS) and canonical (SoA) tables serve
 // bitwise-identical rows through the unified DTRowView interface, and
-// whole VMC/DMC chains are bitwise-identical across layout modes.
+// whole VMC/DMC chains are bitwise-identical across layout modes. The
+// vectorized row kernels are pinned bitwise to their nearbyint-based
+// originals, and virtual (NLPP fan) rows to the move protocol's temp row.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "drivers/qmc_driver_impl.h"
 #include "workloads/system_builder.h"
@@ -497,4 +503,271 @@ TEST(DistanceTableSkewedCell, SoaFallbackMatchesAos)
         continue;
       EXPECT_NEAR(p.table(ta).dist(i, j), p.table(ts).dist(i, j), 1e-12);
     }
+}
+
+// ---------------------------------------------------------------------
+// Row-kernel exactness: round_half_even and the vectorized min-image
+// rows against std::nearbyint and the nearbyint-based kernels they
+// replaced (kept here, verbatim in arithmetic, as the reference).
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+template<typename T>
+bool same_bits(T a, T b)
+{
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template<typename T>
+void expect_rounds_like_nearbyint(T f)
+{
+  const T want = std::nearbyint(f);
+  const T got = round_half_even(f);
+  EXPECT_TRUE(same_bits(got, want)) << "f=" << f << " got " << got << " want " << want;
+}
+
+/// p_c: log2 of 1/epsilon (23 for float, 52 for double).
+template<typename T>
+void check_round_half_even(int p_c)
+{
+  const T inf = std::numeric_limits<T>::infinity();
+  for (T f : {T(0), T(0.5), T(1.5), T(2.5), T(1e30), inf})
+  {
+    expect_rounds_like_nearbyint(f);
+    expect_rounds_like_nearbyint(-f);
+  }
+  // Neighbours of 2^(p-1) and 2^p = 1/epsilon, where fractions vanish,
+  // plus the odd-mantissa band [2^(2p+1), 2^(2p+2)) in which an
+  // add-back of |f| - min(|f|, C) would be one ulp off.
+  for (int e : {p_c - 1, p_c, 2 * p_c + 1})
+  {
+    const T x = std::ldexp(T(1), e);
+    for (T v : {std::nextafter(x, T(0)), x, std::nextafter(x, inf),
+                std::nextafter(std::nextafter(x, inf), inf)})
+    {
+      expect_rounds_like_nearbyint(v);
+      expect_rounds_like_nearbyint(-v);
+    }
+  }
+  RandomGenerator rng(2017);
+  for (int i = 0; i < 100000; ++i)
+  {
+    // Magnitudes 2^-5 .. 2^(p_c+3) of both signs, every 8th an exact tie.
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.uniform() * (p_c + 8)) - 4);
+    const double f = (i % 8 == 0) ? std::floor(scale * rng.uniform()) + 0.5
+                                   : (rng.uniform() - 0.5) * scale;
+    expect_rounds_like_nearbyint(static_cast<T>(i % 2 ? f : -f));
+  }
+}
+
+/// The nearbyint general-cell kernel the vectorized one replaced.
+template<typename TR>
+void reference_general_row(const MinImageKernel<TR>& mik, const TR* xs, const TR* ys,
+                           const TR* zs, TR x0, TR y0, TR z0, int n, TR* d, TR* dx, TR* dy,
+                           TR* dz)
+{
+  const auto& ai = mik.ainv;
+  const auto& a = mik.cell;
+  for (int j = 0; j < n; ++j)
+  {
+    const TR rx = xs[j] - x0, ry = ys[j] - y0, rz = zs[j] - z0;
+    TR f0 = ai[0][0] * rx + ai[0][1] * ry + ai[0][2] * rz;
+    TR f1 = ai[1][0] * rx + ai[1][1] * ry + ai[1][2] * rz;
+    TR f2 = ai[2][0] * rx + ai[2][1] * ry + ai[2][2] * rz;
+    f0 -= std::nearbyint(f0);
+    f1 -= std::nearbyint(f1);
+    f2 -= std::nearbyint(f2);
+    const TR bx = f0 * a[0][0] + f1 * a[1][0] + f2 * a[2][0];
+    const TR by = f0 * a[0][1] + f1 * a[1][1] + f2 * a[2][1];
+    const TR bz = f0 * a[0][2] + f1 * a[1][2] + f2 * a[2][2];
+    TR best2 = bx * bx + by * by + bz * bz;
+    TR ox = bx, oy = by, oz = bz;
+    const TR s[3] = {-std::copysign(TR(1), f0), -std::copysign(TR(1), f1),
+                     -std::copysign(TR(1), f2)};
+    TR c[3][3];
+    for (int v = 0; v < 3; ++v)
+      for (int k = 0; k < 3; ++k)
+        c[v][k] = s[v] * a[v][k];
+    for (int m = 1; m < 8; ++m)
+    {
+      const TR sx = bx + (m & 1 ? c[0][0] : TR(0)) + (m & 2 ? c[1][0] : TR(0)) +
+          (m & 4 ? c[2][0] : TR(0));
+      const TR sy = by + (m & 1 ? c[0][1] : TR(0)) + (m & 2 ? c[1][1] : TR(0)) +
+          (m & 4 ? c[2][1] : TR(0));
+      const TR sz = bz + (m & 1 ? c[0][2] : TR(0)) + (m & 2 ? c[1][2] : TR(0)) +
+          (m & 4 ? c[2][2] : TR(0));
+      const TR r2 = sx * sx + sy * sy + sz * sz;
+      if (r2 < best2)
+      {
+        best2 = r2;
+        ox = sx;
+        oy = sy;
+        oz = sz;
+      }
+    }
+    d[j] = std::sqrt(best2);
+    dx[j] = ox;
+    dy[j] = oy;
+    dz[j] = oz;
+  }
+}
+
+/// The nearbyint orthorhombic kernel the vectorized one replaced.
+template<typename TR>
+void reference_ortho_row(const MinImageKernel<TR>& mik, const TR* xs, const TR* ys, const TR* zs,
+                         TR x0, TR y0, TR z0, int n, TR* d, TR* dx, TR* dy, TR* dz)
+{
+  for (int j = 0; j < n; ++j)
+  {
+    TR ddx = xs[j] - x0, ddy = ys[j] - y0, ddz = zs[j] - z0;
+    ddx -= mik.L[0] * std::nearbyint(ddx * mik.Linv[0]);
+    ddy -= mik.L[1] * std::nearbyint(ddy * mik.Linv[1]);
+    ddz -= mik.L[2] * std::nearbyint(ddz * mik.Linv[2]);
+    d[j] = std::sqrt(ddx * ddx + ddy * ddy + ddz * ddz);
+    dx[j] = ddx;
+    dy[j] = ddy;
+    dz[j] = ddz;
+  }
+}
+
+/// memcmp-equality of the production row kernel and the reference, for
+/// every source as the row origin plus far-outside origins (several
+/// cells away, so the wraps cross more than one image).
+template<typename TR>
+void check_row_kernel(const Lattice& lat, const std::string& name, int n)
+{
+  const MinImageKernel<TR> mik(lat);
+  RandomGenerator rng(static_cast<std::uint64_t>(31 + n));
+  std::vector<TR> xs(n), ys(n), zs(n);
+  for (int j = 0; j < n; ++j)
+  {
+    const auto r = lat.to_cart({rng.uniform(), rng.uniform(), rng.uniform()});
+    xs[j] = static_cast<TR>(r[0]);
+    ys[j] = static_cast<TR>(r[1]);
+    zs[j] = static_cast<TR>(r[2]);
+  }
+  std::vector<TinyVector<double, 3>> origins;
+  for (int j = 0; j < n; ++j)
+    origins.push_back({static_cast<double>(xs[j]), static_cast<double>(ys[j]),
+                       static_cast<double>(zs[j])});
+  for (int t = 0; t < 8; ++t)
+    origins.push_back(lat.to_cart({4 * rng.uniform() - 2, 4 * rng.uniform() - 2,
+                                   4 * rng.uniform() - 2}));
+  std::vector<TR> got(4 * n), want(4 * n);
+  for (const auto& o : origins)
+  {
+    const TR x0 = static_cast<TR>(o[0]), y0 = static_cast<TR>(o[1]), z0 = static_cast<TR>(o[2]);
+    TR* g = got.data();
+    TR* r = want.data();
+    if (lat.orthorhombic())
+    {
+      ortho_cell_row(mik, xs.data(), ys.data(), zs.data(), x0, y0, z0, n, g, g + n, g + 2 * n,
+                     g + 3 * n);
+      reference_ortho_row(mik, xs.data(), ys.data(), zs.data(), x0, y0, z0, n, r, r + n,
+                          r + 2 * n, r + 3 * n);
+    }
+    else
+    {
+      general_cell_row(mik, xs.data(), ys.data(), zs.data(), x0, y0, z0, n, g, g + n, g + 2 * n,
+                       g + 3 * n);
+      reference_general_row(mik, xs.data(), ys.data(), zs.data(), x0, y0, z0, n, r, r + n,
+                            r + 2 * n, r + 3 * n);
+    }
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(TR)), 0)
+        << name << " n=" << n << " origin " << o[0] << " " << o[1] << " " << o[2];
+  }
+}
+
+} // namespace
+
+TEST(MinImageKernel, RoundHalfEvenMatchesNearbyintFloat) { check_round_half_even<float>(23); }
+
+TEST(MinImageKernel, RoundHalfEvenMatchesNearbyintDouble) { check_round_half_even<double>(52); }
+
+TEST(MinImageKernel, RowsMatchNearbyintKernelsBitwise)
+{
+  const Lattice& graphite = workload_info(Workload::Graphite).lattice;
+  const Lattice& nio = workload_info(Workload::NiO32).lattice;
+  ASSERT_FALSE(graphite.orthorhombic());
+  ASSERT_TRUE(nio.orthorhombic());
+  // A triclinic cell, every lattice component nonzero: every corner sum
+  // of the general kernel rounds in all three components.
+  const Lattice triclinic(std::array<TinyVector<double, 3>, 3>{
+      TinyVector<double, 3>{5.1, 0.7, 0.3}, TinyVector<double, 3>{-1.9, 4.6, -0.4},
+      TinyVector<double, 3>{0.5, -0.9, 6.2}});
+  for (int n : {1, 7, 64, 257})
+  {
+    check_row_kernel<float>(graphite, "Graphite", n);
+    check_row_kernel<double>(graphite, "Graphite", n);
+    check_row_kernel<float>(nio, "NiO-32", n);
+    check_row_kernel<double>(nio, "NiO-32", n);
+    check_row_kernel<float>(triclinic, "triclinic", n);
+    check_row_kernel<double>(triclinic, "triclinic", n);
+  }
+}
+
+TEST(VirtualMoves, RowsMatchTempRowOfEachMove)
+{
+  // Virtual row q is the temp row make_move(k, vpos[q]) leaves, for
+  // every table kind, and filling it disturbs neither the temp row nor
+  // the committed rows.
+  const int n = 18;
+  for (const Lattice& lat : {Lattice::cubic(6.0), Lattice::hexagonal(4.65, 12.68)})
+  {
+    auto ions = make_ions<float>(3, 2, 6.0);
+    ParticleSet<float> p("e", lat);
+    p.add_species("u", -1.0);
+    p.add_species("d", -1.0);
+    p.create({n / 2, n / 2});
+    RandomGenerator rng(41);
+    randomize_positions(p, rng);
+    p.add_table(std::make_unique<SoaDistanceTableAA<float>>(lat, n));
+    p.add_table(std::make_unique<AosDistanceTableAA<float>>(lat, n));
+    p.add_table(std::make_unique<SoaDistanceTableAB<float>>(lat, *ions, n));
+    p.add_table(std::make_unique<AosDistanceTableAB<float>>(lat, *ions, n));
+    p.update();
+    const int k = 7;
+    std::vector<TinyVector<double, 3>> vpos;
+    for (int q = 0; q < 5; ++q)
+      vpos.push_back(p.pos(k) + TinyVector<double, 3>{0.3 * q - 0.6, 0.7 - 0.2 * q, 0.1 * q});
+    p.make_move(k, p.pos(k) + TinyVector<double, 3>{0.05, 0.05, 0.05});
+    std::vector<std::vector<float>> temp_before, row_before;
+    for (int t = 0; t < p.num_tables(); ++t)
+    {
+      const auto& dt = p.table(t);
+      temp_before.emplace_back(dt.temp_r(), dt.temp_r() + dt.num_sources());
+      row_before.emplace_back(dt.row_distances(2), dt.row_distances(2) + dt.num_sources());
+    }
+    p.make_virtual_moves(k, vpos.data(), static_cast<int>(vpos.size()));
+    for (int t = 0; t < p.num_tables(); ++t)
+    {
+      const auto& dt = p.table(t);
+      const std::size_t bytes = dt.num_sources() * sizeof(float);
+      EXPECT_EQ(std::memcmp(dt.temp_r(), temp_before[t].data(), bytes), 0) << "table " << t;
+      EXPECT_EQ(std::memcmp(dt.row_distances(2), row_before[t].data(), bytes), 0) << "table " << t;
+    }
+    std::vector<std::vector<float>> virt(p.num_tables() * vpos.size());
+    for (int t = 0; t < p.num_tables(); ++t)
+      for (std::size_t q = 0; q < vpos.size(); ++q)
+      {
+        const float* v = p.table(t).virtual_distances(static_cast<int>(q));
+        virt[t * vpos.size() + q].assign(v, v + p.table(t).num_sources());
+      }
+    p.reject_move(k);
+    for (std::size_t q = 0; q < vpos.size(); ++q)
+    {
+      p.make_move(k, vpos[q]);
+      for (int t = 0; t < p.num_tables(); ++t)
+      {
+        const auto& dt = p.table(t);
+        EXPECT_EQ(std::memcmp(dt.temp_r(), virt[t * vpos.size() + q].data(),
+                              dt.num_sources() * sizeof(float)),
+                  0)
+            << "table " << t << " point " << q;
+      }
+      p.reject_move(k);
+    }
+  }
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "drivers/qmc_driver_impl.h"
@@ -415,6 +416,35 @@ TEST(BranchWalkers, SurvivesTotalExtinction)
   EXPECT_LE(pop.size(), 8);
   for (const auto& w : pop.walkers)
     EXPECT_EQ(w->weight, 1.0);
+}
+
+TEST(BranchWalkers, NonFiniteWeightsGetNoCopies)
+{
+  // A non-finite local energy makes the DMC weight NaN; such walkers
+  // must die (no copies) instead of reaching an undefined int cast.
+  WalkerPopulation pop;
+  RandomGenerator rng(5);
+  const double weights[] = {1.0, std::nan(""), 2.0, std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), 1.5};
+  for (int i = 0; i < 6; ++i)
+  {
+    auto w = std::make_unique<Walker>(2);
+    w->id = 100 + i;
+    w->weight = weights[i];
+    pop.walkers.push_back(std::move(w));
+    pop.rngs.emplace_back(200 + i);
+  }
+  branch_walkers(pop, 6, rng);
+  EXPECT_GE(pop.size(), 3);
+  for (const auto& w : pop.walkers)
+  {
+    EXPECT_EQ(w->weight, 1.0);
+    for (std::uint64_t dead : {101u, 103u, 104u})
+    {
+      EXPECT_NE(w->id, dead);
+      EXPECT_NE(w->parent_id, dead);
+    }
+  }
 }
 
 TEST(BranchWalkers, PreservesStreamPairingAndDecorrelatesClones)

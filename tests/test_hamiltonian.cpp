@@ -1,15 +1,19 @@
 // Unit tests: Ewald summation (Madelung constants, consistency
 // identities), Coulomb components and the non-local pseudopotential
-// quadrature.
+// quadrature, plus the measurement's once-only pair work: the NLPP fan's
+// virtual rows and the shared electron structure factor, each pinned
+// bitwise to the path it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "hamiltonian/coulomb.h"
 #include "hamiltonian/ewald.h"
 #include "hamiltonian/pseudopotential.h"
 #include "test_utils.h"
 #include "wavefunction/trial_wavefunction.h"
+#include "workloads/system_builder.h"
 
 using namespace qmcxx;
 using namespace qmcxx::testing;
@@ -188,4 +192,231 @@ TEST(CoulombEI, CoreRegularizationReducesSingularity)
   const double e_soft = soft.evaluate(elec, twf);
   EXPECT_LT(e_bare, -1000.0); // -Z/r with r = 1e-3
   EXPECT_GT(e_soft, -100.0);  // erf regularized
+}
+
+// ---------------------------------------------------------------------
+// NLPP fan: one table row per quadrature point, bitwise the scalar sweep
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+bool same_bits(double a, double b)
+{
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+template<typename TR>
+QMCSystem<TR> measured_system(Workload w, bool soa, LayoutMode layout)
+{
+  BuildOptions opt;
+  opt.soa_layout = soa;
+  opt.layout = layout;
+  QMCSystem<TR> sys = build_system<TR>(workload_info(w), opt);
+  sys.elec->update();
+  sys.twf->evaluate_log(*sys.elec);
+  return sys;
+}
+
+/// The quadrature fan NonLocalPP stages for electron i about ion a
+/// (radius r = |r_ia|, directions quad.points), or empty when the pair
+/// is outside the ion's channel.
+template<typename TR>
+std::vector<Pos> nlpp_fan(const QMCSystem<TR>& sys, const WorkloadInfo& info, int i, int a,
+                          const SphericalQuadrature& quad)
+{
+  const auto& dt = sys.elec->table(sys.table_ei);
+  const auto& sp = info.species[sys.ions->group_id(a)];
+  const FullPrecReal r = static_cast<double>(dt.dist(i, a));
+  if (sp.nl_amplitude == 0.0 || r >= sp.nl_rcut)
+    return {};
+  const auto d = dt.displ(i, a);
+  const Pos to_ion{static_cast<double>(d[0]), static_cast<double>(d[1]),
+                   static_cast<double>(d[2])};
+  std::vector<Pos> fan;
+  for (const Pos& n : quad.points)
+    fan.push_back(sys.elec->pos(i) + to_ion + r * n);
+  return fan;
+}
+
+template<typename TR>
+void check_fan_matches_scalar_sweep(Workload w, bool soa, LayoutMode layout)
+{
+  QMCSystem<TR> sys = measured_system<TR>(w, soa, layout);
+  const WorkloadInfo& info = workload_info(w);
+  ParticleSet<TR>& p = *sys.elec;
+  TrialWaveFunction<TR>& twf = *sys.twf;
+  const SphericalQuadrature quad = make_spherical_quadrature(12);
+  int fans = 0;
+  for (int i = 0; i < p.size(); ++i)
+    for (int a = 0; a < sys.ions->size(); ++a)
+    {
+      const std::vector<Pos> fan = nlpp_fan(sys, info, i, a, quad);
+      if (fan.empty())
+        continue;
+      ++fans;
+      const int nq = static_cast<int>(fan.size());
+      std::vector<double> batched(nq);
+      twf.calc_ratios(p, i, fan.data(), nq, batched.data());
+      for (int q = 0; q < nq; ++q)
+      {
+        p.make_move(i, fan[q]);
+        const FullPrecReal scalar = twf.calc_ratio(p, i);
+        twf.reject_move(p, i);
+        ASSERT_TRUE(same_bits(batched[q], scalar))
+            << info.name << " elec " << i << " ion " << a << " q " << q << ": " << batched[q]
+            << " vs " << scalar;
+      }
+    }
+  EXPECT_GT(fans, 0) << info.name << ": no electron inside any nl_rcut";
+}
+
+} // namespace
+
+TEST(NonLocalPP, FanRatiosMatchScalarSweepBitwise)
+{
+  for (Workload w : {Workload::Graphite, Workload::NiO32})
+  {
+    for (LayoutMode layout : {LayoutMode::Canonical, LayoutMode::Reference})
+    {
+      check_fan_matches_scalar_sweep<float>(w, true, layout);
+      check_fan_matches_scalar_sweep<double>(w, true, layout);
+    }
+    // The AoS engine: store-over-compute J1/J2 on Reference tables.
+    check_fan_matches_scalar_sweep<float>(w, false, LayoutMode::Reference);
+    check_fan_matches_scalar_sweep<double>(w, false, LayoutMode::Reference);
+  }
+}
+
+TEST(NonLocalPP, FanComputesOneRowPerTablePerPoint)
+{
+  // Each quadrature point costs one ee and one ei row (one DistTable
+  // scope each), shared by J1 and J2; the per-component make_move sweep
+  // it replaced paid four.
+  QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
+  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SphericalQuadrature quad = make_spherical_quadrature(12);
+  std::uint64_t points = 0;
+  for (int i = 0; i < sys.elec->size(); ++i)
+    for (int a = 0; a < sys.ions->size(); ++a)
+      points += nlpp_fan(sys, info, i, a, quad).size();
+  ASSERT_GT(points, 0u);
+  std::vector<NLChannel> channels;
+  for (const auto& sp : info.species)
+    channels.push_back(NLChannel{1, sp.nl_amplitude, sp.nl_width, sp.nl_rcut});
+  NonLocalPP<float> nlpp(*sys.ions, channels, sys.table_ei, quad.size());
+
+  TimerRegistry& timers = TimerRegistry::instance();
+  const bool was_enabled = timers.enabled();
+  timers.set_enabled(true);
+  timers.reset();
+  (void)nlpp.evaluate(*sys.elec, *sys.twf);
+  const KernelTotals totals = timers.snapshot();
+  timers.reset();
+  timers.set_enabled(was_enabled);
+  ASSERT_EQ(sys.elec->num_tables(), 2);
+  EXPECT_EQ(totals.calls[static_cast<int>(Kernel::DistTable)], 2 * points);
+}
+
+// ---------------------------------------------------------------------
+// Shared electron structure factor rho_e(k)
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+template<typename TR>
+void check_shared_rho_matches_vector_overloads(Workload w)
+{
+  QMCSystem<TR> sys = measured_system<TR>(w, true, LayoutMode::Canonical);
+  ParticleSet<TR>& p = *sys.elec;
+  const EwaldSum ew(p.lattice());
+  const std::vector<double> q_e(p.size(), -1.0);
+  std::vector<double> q_ion;
+  for (int a = 0; a < sys.ions->size(); ++a)
+    q_ion.push_back(sys.ions->species(sys.ions->group_id(a)).charge);
+  const EwaldSum::FixedSetFactors ions = ew.precompute_fixed_set(sys.ions->positions(), q_ion);
+
+  const auto& rho = electron_rho(ew, p);
+  const FullPrecReal ee = ew.kspace_energy(rho.re.data(), rho.im.data());
+  const FullPrecReal ei = ew.interaction_kspace(rho.re.data(), rho.im.data(), -p.size(), ions);
+  const FullPrecReal ee_ref = ew.kspace_energy(p.positions(), q_e);
+  const FullPrecReal ei_ref = ew.interaction_kspace_cached(p.positions(), q_e, ions);
+  const std::string name = workload_info(w).name + (sizeof(TR) == 4 ? " float" : " double");
+  EXPECT_TRUE(same_bits(ee, ee_ref)) << name << ": " << ee << " vs " << ee_ref;
+  EXPECT_TRUE(same_bits(ei, ei_ref)) << name << ": " << ei << " vs " << ei_ref;
+}
+
+/// CoulombEE + CoulombEI of `p`, each term on its own, in the order
+/// the Hamiltonian evaluates them.
+template<typename TR>
+std::pair<double, double> coulomb_pair(const QMCSystem<TR>& sys, const WorkloadInfo& info,
+                                       ParticleSet<TR>& p)
+{
+  std::vector<double> r_core;
+  for (const auto& sp : info.species)
+    r_core.push_back(sp.r_core);
+  CoulombEE<TR> ee(p.lattice(), sys.table_ee);
+  CoulombEI<TR> ei(*sys.ions, r_core, sys.table_ei);
+  TrialWaveFunction<TR> none(p.size());
+  const FullPrecReal e_ee = ee.evaluate(p, none);
+  return {e_ee, ei.evaluate(p, none)};
+}
+
+} // namespace
+
+TEST(CoulombKSpace, SharedRhoMatchesVectorOverloadsBitwise)
+{
+  for (Workload w : {Workload::Graphite, Workload::NiO32})
+  {
+    check_shared_rho_matches_vector_overloads<float>(w);
+    check_shared_rho_matches_vector_overloads<double>(w);
+  }
+}
+
+TEST(CoulombKSpace, CachedRhoIsNeverStale)
+{
+  // After every kind of position write the next Coulomb evaluation must
+  // equal, bitwise, that of a freshly built set at the same positions.
+  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
+  QMCSystem<float> fresh =
+      measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
+  ParticleSet<float>& p = *sys.elec;
+  const auto expect_fresh = [&](ParticleSet<float>& set, const char* after) {
+    fresh.elec->set_positions(set.positions());
+    fresh.elec->update();
+    const auto got = coulomb_pair(sys, info, set);
+    const auto want = coulomb_pair(fresh, info, *fresh.elec);
+    EXPECT_TRUE(same_bits(got.first, want.first)) << "CoulombEE after " << after;
+    EXPECT_TRUE(same_bits(got.second, want.second)) << "CoulombEI after " << after;
+  };
+  expect_fresh(p, "build"); // fills p's cache
+
+  p.prepare_move(3);
+  p.make_move(3, p.pos(3) + Pos{0.3, -0.2, 0.1});
+  p.accept_move(3);
+  p.update(); // measurement state; leaves version() alone
+  expect_fresh(p, "accept_move");
+
+  p.set_pos(5, p.pos(5) + Pos{-0.25, 0.15, 0.2});
+  p.update();
+  expect_fresh(p, "set_pos");
+
+  Walker w(p.size());
+  p.store_walker(w);
+  for (auto& r : w.R)
+    r = r + Pos{0.05, 0.1, -0.05};
+  p.load_walker(w);
+  p.update();
+  expect_fresh(p, "load_walker");
+
+  // p's cache is current here; a clone must start its own.
+  auto c = p.clone();
+  c->update();
+  expect_fresh(*c, "clone");
+  c->set_pos(0, c->pos(0) + Pos{0.1, 0.1, 0.1});
+  c->update();
+  expect_fresh(*c, "set_pos on a clone");
+  expect_fresh(p, "evaluating a clone");
 }

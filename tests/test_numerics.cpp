@@ -349,6 +349,34 @@ TEST(CubicBspline1D, EvaluateVMatchesScalarSum)
   EXPECT_NEAR(got, expect, 1e-6f);
 }
 
+TEST(CubicBspline1D, LastSegmentEdgeStaysInBounds)
+{
+  // Just below the cutoff, r * (1/delta) can round up to the segment
+  // count m, selecting segment m: its fourth coefficient (weight 0 at
+  // t = 0) lies past the m + 3 given. The value there must be the
+  // spline's, never what lies beyond the coefficients.
+  int edges = 0;
+  for (int m = 3; m < 64; ++m)
+    for (float rc : {1.7f, 2.5f, 3.9f, 4.65f, 6.1f})
+    {
+      aligned_vector<float> coefs(static_cast<std::size_t>(m) + 3, 0.0f);
+      for (int i = 0; i < m; ++i)
+        coefs[static_cast<std::size_t>(i)] = 0.25f * static_cast<float>(m - i);
+      const CubicBsplineFunctor<float> f(rc, coefs);
+      const float r = std::nextafter(rc, 0.0f);
+      const float delta = rc / static_cast<float>(m);
+      if (r * (1.0f / delta) < static_cast<float>(m))
+        continue;
+      ++edges;
+      float du = 1, d2u = 1;
+      EXPECT_EQ(f.evaluate(r), 0.0f) << "m=" << m << " rc=" << rc;
+      EXPECT_EQ(f.evaluate(r, du, d2u), 0.0f) << "m=" << m << " rc=" << rc;
+      EXPECT_EQ(du, 0.0f);
+      EXPECT_EQ(d2u, 0.0f);
+    }
+  EXPECT_GT(edges, 0) << "no case reached segment m";
+}
+
 TEST(CubicBspline1D, EvaluateVGLZeroesBeyondCutoffAndSkip)
 {
   const double rc = 2.0;

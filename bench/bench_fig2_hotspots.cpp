@@ -48,34 +48,27 @@ int main()
                         cur.profile.seconds[static_cast<int>(Kernel::J2)]);
   }
 
-  // Crowd-size sweep of the batched SPO kernels (PR 8): same NiO-32
-  // Current engine with the crowd-vectorized spline path on vs the
-  // per-walker scalar loop. The chains are bitwise identical, so the
-  // profile delta is pure kernel efficiency (BsplineVGH/BsplineV).
+  // Crowd-size sweep of the batched SPO kernels: same NiO-32 Current
+  // engine at growing crowd sizes. The chains are bitwise identical, so
+  // the profile delta is pure kernel efficiency (BsplineVGH/BsplineV).
   std::printf("\nBatched SPO kernels, NiO-32 Current, crowd-size sweep:\n");
-  std::printf("  %-6s %-9s %12s %14s %14s\n", "crowd", "kernels", "run sec", "Bspline sec",
-              "throughput");
+  std::printf("  %-6s %12s %14s %14s\n", "crowd", "run sec", "Bspline sec", "throughput");
   for (int crowd : {1, 4, 8})
   {
-    for (bool batched : {false, true})
-    {
-      EngineRunSpec spec;
-      spec.workload = Workload::NiO32;
-      spec.variant = EngineVariant::Current;
-      spec.driver = bench::default_config(Workload::NiO32);
-      spec.driver.crowd_size = crowd;
-      spec.spo_batched = batched;
-      const EngineReport rep = run_engine(spec);
-      const double bspline_sec = rep.profile.seconds[static_cast<int>(Kernel::BsplineVGH)] +
-          rep.profile.seconds[static_cast<int>(Kernel::BsplineV)];
-      std::printf("  %-6d %-9s %12.3f %14.3f %14.1f\n", crowd, batched ? "batched" : "scalar",
-                  rep.result.seconds, bspline_sec, rep.result.throughput);
-      json.add_engine_record(workload_info(Workload::NiO32).name,
-                             to_string(EngineVariant::Current), rep);
-      json.add_metric("crowd_size", crowd);
-      json.add_metric("spo_batched", batched ? 1.0 : 0.0);
-      json.add_metric("bspline_kernel_seconds", bspline_sec);
-    }
+    EngineRunSpec spec;
+    spec.workload = Workload::NiO32;
+    spec.variant = EngineVariant::Current;
+    spec.driver = bench::default_config(Workload::NiO32);
+    spec.driver.crowd_size = crowd;
+    const EngineReport rep = run_engine(spec);
+    const double bspline_sec = rep.profile.seconds[static_cast<int>(Kernel::BsplineVGH)] +
+        rep.profile.seconds[static_cast<int>(Kernel::BsplineV)];
+    std::printf("  %-6d %12.3f %14.3f %14.1f\n", crowd, rep.result.seconds, bspline_sec,
+                rep.result.throughput);
+    json.add_engine_record(workload_info(Workload::NiO32).name, to_string(EngineVariant::Current),
+                           rep);
+    json.add_metric("crowd_size", crowd);
+    json.add_metric("bspline_kernel_seconds", bspline_sec);
   }
 
   std::printf("\npaper shape check: DistTable/J2/Bspline dominate Ref; Current\n"

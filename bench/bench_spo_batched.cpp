@@ -7,7 +7,7 @@
 // per (i,j) coefficient line (16 read-modify-write passes) instead of
 // once per (i,j,k) stencil point (64 passes), prefetches the next line,
 // and blocks the padded spline dimension; the arithmetic is bitwise
-// identical (tests/test_bspline3d.cpp, tests/test_spo_batched.cpp).
+// identical (tests/test_bspline3d.cpp, tests/test_spo_set.cpp).
 #include <algorithm>
 
 #include "bench/bench_common.h"

@@ -41,7 +41,7 @@ public:
 
   /// Run fn(crowd_index, thread_index) for every crowd, barrier, flush
   /// per-thread timer totals. thread_index selects per-thread scratch
-  /// (the driver's CrowdContext); crowd_index keys all results.
+  /// (the driver's Crowd for that thread); crowd_index keys all results.
   void run_generation(int num_crowds, const ThreadPool::TaskFn& fn);
 
 private:

@@ -13,10 +13,9 @@
 // handshake: acquire() loads a population slice into the slots (buffers
 // are read once), the whole sweep runs against slot-resident state, and
 // release() streams the final state back into the walkers (buffers are
-// written once). This replaces the per-walker loadWalker/storeWalker
-// churn of the scalar path as the unit of staging, and is the seam
-// where device-resident crowds (GPU offload, async population
-// sharding) attach later.
+// written once). The crowd is the drivers' only unit of staging (a
+// crowd of one included), and the seam where device-resident crowds
+// (GPU offload, async population sharding) attach later.
 //
 // Threading contract (crowd-per-thread execution): crowds of one
 // generation run concurrently, so everything a crowd touches during a

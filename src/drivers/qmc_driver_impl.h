@@ -5,9 +5,11 @@
 // into slices of crowd_size, each slice is staged into a Crowd
 // (acquire), all walkers in the crowd move every electron in lockstep
 // through the batched mw_* API, and the slice is streamed back
-// (release). crowd_size == 1 takes the legacy per-walker sweep, which
-// produces bit-identical chains because each walker's RNG stream is
-// private to it in both paths.
+// (release). Every crowd size, 1 included, takes this one sweep, and
+// the chains are bit-identical across sizes because each walker's RNG
+// stream is private to it. VMC and DMC share one generation loop
+// (run_chain); DMC adds only the reweight, branch and trial-energy
+// feedback steps at the barrier.
 //
 // Crowds of one generation execute concurrently on the ParallelCrowdRunner
 // (crowd-per-thread). Determinism across thread counts rests on three
@@ -161,7 +163,9 @@ QMCDriver<TR>::QMCDriver(ParticleSet<TR>& elec, TrialWaveFunction<TR>& twf, Hami
 {
   detail::validate_config(config_);
   runner_ = std::make_unique<ParallelCrowdRunner>(config_.num_threads);
-  make_crowd_contexts();
+  for (int t = 0; t < runner_->num_threads(); ++t)
+    crowds_.push_back(
+        std::make_unique<Crowd<TR>>(elec_proto_, twf_proto_, &ham_proto_, config_.crowd_size));
   set_estimators(nullptr); // publishes the component labels
 }
 
@@ -183,16 +187,16 @@ void QMCDriver<TR>::set_estimators(std::shared_ptr<const EstimatorSet<TR>> estim
 }
 
 template<typename TR>
-void QMCDriver<TR>::record_samples(CrowdContext<TR>& ctx, int slot, int iw)
+void QMCDriver<TR>::record_samples(Crowd<TR>& crowd, int slot, int iw)
 {
-  Hamiltonian<TR>& ham = ctx.crowd->ham(slot);
+  Hamiltonian<TR>& ham = crowd.ham(slot);
   const int ncomp = ham.num_components();
   FullPrecReal* crow = comp_samples_.data() + static_cast<std::size_t>(iw) * ncomp;
   for (int c = 0; c < ncomp; ++c)
     crow[c] = ham.last_value(c);
   if (estimators_ && estimators_->total_bins() > 0)
     estimators_->evaluate_all(
-        ctx.crowd->elec(slot),
+        crowd.elec(slot),
         est_samples_.data() + static_cast<std::size_t>(iw) * estimators_->total_bins());
 }
 
@@ -231,24 +235,11 @@ void QMCDriver<TR>::reduce_observables(GenerationStats& stats, bool weighted) co
 }
 
 template<typename TR>
-void QMCDriver<TR>::make_crowd_contexts()
-{
-  contexts_.clear();
-  for (int t = 0; t < runner_->num_threads(); ++t)
-  {
-    CrowdContext<TR> ctx;
-    ctx.crowd =
-        std::make_unique<Crowd<TR>>(elec_proto_, twf_proto_, &ham_proto_, config_.crowd_size);
-    contexts_.push_back(std::move(ctx));
-  }
-}
-
-template<typename TR>
 void QMCDriver<TR>::initialize_population()
 {
   pop_.walkers.clear();
   pop_.rngs.clear();
-  Crowd<TR>& crowd = *contexts_.front().crowd;
+  Crowd<TR>& crowd = *crowds_.front();
   ParticleSet<TR>& elec = crowd.elec(0);
   TrialWaveFunction<TR>& twf = crowd.twf(0);
   Hamiltonian<TR>& ham = crowd.ham(0);
@@ -362,7 +353,7 @@ void QMCDriver<TR>::restore_snapshot(const io::PopulationSnapshot& snap)
     // from scratch against slot 0's clones. Statistically equivalent
     // to the stored-buffer path, but not bitwise (from-scratch inverses
     // differ from incrementally updated ones in the low bits).
-    Crowd<TR>& crowd = *contexts_.front().crowd;
+    Crowd<TR>& crowd = *crowds_.front();
     ParticleSet<TR>& elec = crowd.elec(0);
     TrialWaveFunction<TR>& twf = crowd.twf(0);
     for (auto& w : walkers)
@@ -396,84 +387,9 @@ bool QMCDriver<TR>::checkpoint_barrier(int gen, io::ChainKind kind)
 }
 
 template<typename TR>
-typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_walker(CrowdContext<TR>& ctx, Walker& w,
-                                                                 RandomGenerator& rng,
-                                                                 bool recompute, int iw, int gen)
-{
-  ParticleSet<TR>& p = ctx.crowd->elec(0);
-  TrialWaveFunction<TR>& twf = ctx.crowd->twf(0);
-  const FullPrecReal tau = config_.tau;
-  const FullPrecReal sqrt_tau = std::sqrt(tau);
-  const int n = p.size();
-
-  p.load_walker(w);
-  p.update();
-  if (recompute)
-    twf.evaluate_log(p); // from-scratch repair (Sec. 7.2)
-  else
-    twf.copy_from_buffer(p, w);
-
-  SweepOutcome out;
-  for (int k = 0; k < n; ++k)
-  {
-    p.prepare_move(k);
-    TinyVector<double, 3> drift{};
-    if (config_.use_drift)
-      drift = detail::limited_drift(twf.eval_grad(p, k), tau);
-    const TinyVector<double, 3> chi{sqrt_tau * rng.gaussian(), sqrt_tau * rng.gaussian(),
-                                    sqrt_tau * rng.gaussian()};
-    const TinyVector<double, 3> rnew = p.pos(k) + drift + chi;
-    p.make_move(k, rnew);
-    TinyVector<double, 3> grad_new{};
-    const FullPrecReal ratio = twf.calc_ratio_grad(p, k, grad_new);
-    ++out.proposed;
-
-    bool accept = false;
-    if (std::isfinite(ratio) && ratio > 0.0) // fixed-node: reject node crossings
-    {
-      FullPrecReal log_gf = 0.0;
-      if (config_.use_drift)
-      {
-        // Green-function ratio G(R'->R)/G(R->R') for drift-diffusion.
-        const TinyVector<double, 3> drift_new = detail::limited_drift(grad_new, tau);
-        const TinyVector<double, 3> back = p.pos(k) - rnew - drift_new; // R - R' - D(R')
-        const TinyVector<double, 3> fwd = chi;                        // R' - R - D(R)
-        log_gf = -(dot(back, back) - dot(fwd, fwd)) / (2.0 * tau);
-      }
-      const FullPrecReal prob = ratio * ratio * std::exp(log_gf);
-      accept = rng.uniform() < prob;
-    }
-    if (accept)
-    {
-      twf.accept_move(p, k);
-      ++out.accepted;
-    }
-    else
-    {
-      twf.reject_move(p, k);
-    }
-  }
-
-  // Measurement (Alg. 1 L11): refresh tables, then E_L.
-  p.update();
-  out.local_energy = ctx.crowd->ham(0).evaluate(p, twf);
-  record_samples(ctx, 0, iw);
-  // Drift guard at the measurement barrier (Sec. 7.2), before the
-  // buffer write so a fired refresh is what gets serialized.
-  twf.monitor_inverse_drift(p, config_.precision, gen, out.drift);
-  twf.update_buffer(w);
-  p.store_walker(w);
-  w.old_local_energy = w.local_energy;
-  w.local_energy = out.local_energy;
-  w.age = out.accepted > 0 ? 0 : w.age + 1;
-  return out;
-}
-
-template<typename TR>
-typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(CrowdContext<TR>& ctx, int first,
+typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(Crowd<TR>& crowd, int first,
                                                                 int n, bool recompute, int gen)
 {
-  Crowd<TR>& crowd = *ctx.crowd;
   crowd.acquire(&pop_.walkers[first], &pop_.rngs[first], n, recompute);
   const FullPrecReal tau = config_.tau;
   const FullPrecReal sqrt_tau = std::sqrt(tau);
@@ -499,8 +415,8 @@ typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(CrowdContext<TR>
     }
     for (int iw = 0; iw < n; ++iw)
     {
-      // Per-walker draws in the same order as the scalar sweep, so the
-      // chains are identical at every crowd size.
+      // Draws come only from the walker's own stream, in a fixed
+      // per-move order, so the chains are identical at every crowd size.
       RandomGenerator& rng = crowd.rng(iw);
       const FullPrecReal g0 = rng.gaussian(), g1 = rng.gaussian(), g2 = rng.gaussian();
       crowd.chi[iw] = TinyVector<double, 3>{sqrt_tau * g0, sqrt_tau * g1, sqrt_tau * g2};
@@ -519,6 +435,7 @@ typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(CrowdContext<TR>
         FullPrecReal log_gf = 0.0;
         if (config_.use_drift)
         {
+          // Green-function ratio G(R'->R)/G(R->R') for drift-diffusion.
           const TinyVector<double, 3> drift_new = detail::limited_drift(crowd.grads[iw], tau);
           const TinyVector<double, 3> back =
               crowd.elec(iw).pos(k) - crowd.rnew[iw] - drift_new; // R - R' - D(R')
@@ -546,7 +463,7 @@ typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(CrowdContext<TR>
   // Observable samples while each slot's measurement state is intact;
   // rows [first, first + n) belong to this crowd alone.
   for (int iw = 0; iw < n; ++iw)
-    record_samples(ctx, iw, first + iw);
+    record_samples(crowd, iw, first + iw);
   // Drift guard at the measurement barrier (Sec. 7.2), slot by slot in
   // walker order before release() serializes the buffers. Row selection
   // depends only on `gen`, so every decomposition samples identically.
@@ -564,8 +481,7 @@ typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(CrowdContext<TR>
 }
 
 template<typename TR>
-std::vector<typename QMCDriver<TR>::SweepOutcome> QMCDriver<TR>::run_generation_crowds(
-    bool recompute, int gen)
+typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::run_generation_crowds(bool recompute, int gen)
 {
   const int nw = pop_.size();
   const int cs = config_.crowd_size;
@@ -580,15 +496,21 @@ std::vector<typename QMCDriver<TR>::SweepOutcome> QMCDriver<TR>::run_generation_
   // it, and writes only slice-owned state plus its own outcomes slot:
   // the claim order cannot affect any result.
   runner_->run_generation(ncrowds, [&](int ic, int thread_index) {
-    CrowdContext<TR>& ctx = contexts_[thread_index];
     const int lo = ic * cs;
     const int count = nw - lo < cs ? nw - lo : cs;
-    outcomes[ic] = cs <= 1
-        // Legacy per-walker path (the crowd_size == 1 degenerate case).
-        ? sweep_walker(ctx, *pop_.walkers[lo], pop_.rngs[lo], recompute, lo, gen)
-        : sweep_crowd(ctx, lo, count, recompute, gen);
+    outcomes[ic] = sweep_crowd(*crowds_[thread_index], lo, count, recompute, gen);
   });
-  return outcomes;
+  SweepOutcome total;
+  for (const SweepOutcome& out : outcomes)
+  {
+    total.accepted += out.accepted;
+    total.proposed += out.proposed;
+    total.drift.rows_sampled += out.drift.rows_sampled;
+    total.drift.refreshes += out.drift.refreshes;
+    if (out.drift.max_residual > total.drift.max_residual)
+      total.drift.max_residual = out.drift.max_residual;
+  }
+  return total;
 }
 
 template<typename TR>
@@ -597,46 +519,90 @@ RunResult QMCDriver<TR>::run_vmc()
   if (resumed_ && resumed_kind_ != io::ChainKind::VMC)
     throw std::runtime_error("run_vmc: the restored snapshot holds a DMC chain; resuming it "
                              "through VMC would silently corrupt the Markov chain");
+  return run_chain(io::ChainKind::VMC);
+}
+
+template<typename TR>
+RunResult QMCDriver<TR>::run_dmc()
+{
+  if (resumed_ && resumed_kind_ != io::ChainKind::DMC)
+    throw std::runtime_error("run_dmc: the restored snapshot holds a VMC chain; resuming it "
+                             "through DMC would silently corrupt the Markov chain");
+  if (!resumed_)
+  {
+    // Initialize the trial energy from the current population. A
+    // resumed run keeps the snapshot's trial energy: re-deriving it
+    // from the restored walkers would fork the feedback history.
+    FullPrecReal e0 = 0.0;
+    for (const auto& w : pop_.walkers)
+      e0 += w->local_energy;
+    trial_energy_ = e0 / pop_.size();
+  }
+  return run_chain(io::ChainKind::DMC);
+}
+
+template<typename TR>
+RunResult QMCDriver<TR>::run_chain(io::ChainKind kind)
+{
+  const bool dmc = kind == io::ChainKind::DMC;
   RunResult result;
   result.start_generation = start_generation_;
+  const FullPrecReal tau = config_.tau;
   const Stopwatch stopwatch;
   for (int gen = start_generation_; gen < config_.steps; ++gen)
   {
     const bool recompute =
         config_.recompute_period > 0 && gen > 0 && gen % config_.recompute_period == 0;
     const int nw = pop_.size();
-    const std::vector<SweepOutcome> outcomes = run_generation_crowds(recompute, gen);
+    const SweepOutcome out = run_generation_crowds(recompute, gen);
 
-    // Serial barrier-side reduction in fixed walker/crowd order: the
-    // statistics are bitwise-identical for every thread count.
-    std::int64_t accepted = 0, proposed = 0;
-    InverseDriftReport drift;
-    for (const SweepOutcome& out : outcomes)
-    {
-      accepted += out.accepted;
-      proposed += out.proposed;
-      drift.rows_sampled += out.drift.rows_sampled;
-      drift.refreshes += out.drift.refreshes;
-      if (out.drift.max_residual > drift.max_residual)
-        drift.max_residual = out.drift.max_residual;
-    }
+    // Serial barrier-side steps, all in fixed walker order so the
+    // statistics are bitwise-identical for every thread count: DMC
+    // reweighting (Alg. 1 L13, symmetric local-energy average), Welford
+    // statistics (unit weights under VMC), then DMC branching below.
     detail::WeightedWelford acc;
-    for (const auto& w : pop_.walkers)
-      acc.add(1.0, w->local_energy);
+    for (const auto& wp : pop_.walkers)
+    {
+      Walker& w = *wp;
+      if (dmc)
+      {
+        const FullPrecReal e_mid = 0.5 * (w.local_energy + w.old_local_energy);
+        FullPrecReal branch_weight = std::exp(-tau * (e_mid - trial_energy_));
+        branch_weight = std::min(branch_weight, 2.5); // population-explosion guard
+        w.weight *= branch_weight;
+      }
+      acc.add(dmc ? w.weight : 1.0, w.local_energy);
+    }
 
     GenerationStats stats;
     stats.num_walkers = nw;
-    stats.weight = nw;
+    stats.weight = acc.w_sum;
     stats.energy = acc.mean;
     stats.variance = acc.variance();
-    stats.acceptance = proposed > 0 ? static_cast<double>(accepted) / proposed : 0.0;
-    detail::reduce_drift(drift, stats, result);
-    reduce_observables(stats, /*weighted=*/false);
-    result.generations.push_back(stats);
+    stats.acceptance = out.proposed > 0 ? static_cast<double>(out.accepted) / out.proposed : 0.0;
+    detail::reduce_drift(out.drift, stats, result);
+    // DMC observables reduce with the post-reweight weights, before
+    // branching rearranges the population (sample rows are keyed by
+    // pre-branch walker order).
+    reduce_observables(stats, /*weighted=*/dmc);
     result.total_samples += nw;
+
+    if (dmc)
+    {
+      // Branch + trial-energy feedback (Alg. 1 L13-L14).
+      branch_walkers(pop_, config_.num_walkers, branch_rng_);
+      trial_energy_ = stats.energy -
+          config_.feedback / tau *
+              std::log(static_cast<double>(pop_.size()) / config_.num_walkers);
+      stats.trial_energy = trial_energy_;
+    }
+    result.generations.push_back(stats);
     if (config_.on_generation)
       config_.on_generation(gen, stats);
-    if (checkpoint_barrier(gen, io::ChainKind::VMC))
+    // The barrier state (post-branch population, fed-back trial energy)
+    // is exactly what a checkpoint must capture, so this sits after
+    // branching and feedback.
+    if (checkpoint_barrier(gen, kind))
     {
       result.interrupted = true;
       break;
@@ -648,97 +614,6 @@ RunResult QMCDriver<TR>::run_vmc()
   // Post-warmup averages; generations[] holds this run's slice, so the
   // warmup cut is relative to start_generation_ (a resumed run past its
   // warmup discards nothing).
-  detail::finalize_run_means(result, std::max(0, config_.warmup_steps - start_generation_));
-  return result;
-}
-
-template<typename TR>
-RunResult QMCDriver<TR>::run_dmc()
-{
-  if (resumed_ && resumed_kind_ != io::ChainKind::DMC)
-    throw std::runtime_error("run_dmc: the restored snapshot holds a VMC chain; resuming it "
-                             "through DMC would silently corrupt the Markov chain");
-  RunResult result;
-  result.start_generation = start_generation_;
-  if (!resumed_)
-  {
-    // Initialize the trial energy from the current population. A
-    // resumed run keeps the snapshot's trial energy: re-deriving it
-    // from the restored walkers would fork the feedback history.
-    FullPrecReal e0 = 0.0;
-    for (const auto& w : pop_.walkers)
-      e0 += w->local_energy;
-    trial_energy_ = e0 / pop_.size();
-  }
-
-  const FullPrecReal tau = config_.tau;
-  const Stopwatch stopwatch;
-  for (int gen = start_generation_; gen < config_.steps; ++gen)
-  {
-    const bool recompute =
-        config_.recompute_period > 0 && gen > 0 && gen % config_.recompute_period == 0;
-    const int nw = pop_.size();
-    const std::vector<SweepOutcome> outcomes = run_generation_crowds(recompute, gen);
-
-    // Serial barrier-side steps, all in fixed walker/crowd order:
-    // reweight (Alg. 1 L13, symmetric local-energy average), weighted
-    // Welford statistics, then branching below.
-    std::int64_t accepted = 0, proposed = 0;
-    InverseDriftReport drift;
-    for (const SweepOutcome& out : outcomes)
-    {
-      accepted += out.accepted;
-      proposed += out.proposed;
-      drift.rows_sampled += out.drift.rows_sampled;
-      drift.refreshes += out.drift.refreshes;
-      if (out.drift.max_residual > drift.max_residual)
-        drift.max_residual = out.drift.max_residual;
-    }
-    detail::WeightedWelford acc;
-    for (const auto& wp : pop_.walkers)
-    {
-      Walker& w = *wp;
-      const FullPrecReal e_mid = 0.5 * (w.local_energy + w.old_local_energy);
-      FullPrecReal branch_weight = std::exp(-tau * (e_mid - trial_energy_));
-      branch_weight = std::min(branch_weight, 2.5); // population-explosion guard
-      w.weight *= branch_weight;
-      acc.add(w.weight, w.local_energy);
-    }
-
-    GenerationStats stats;
-    stats.num_walkers = nw;
-    stats.weight = acc.w_sum;
-    stats.energy = acc.mean;
-    stats.variance = acc.variance();
-    stats.acceptance = proposed > 0 ? static_cast<double>(accepted) / proposed : 0.0;
-    detail::reduce_drift(drift, stats, result);
-    // Observables reduce with the post-reweight weights, before
-    // branching rearranges the population (sample rows are keyed by
-    // pre-branch walker order).
-    reduce_observables(stats, /*weighted=*/true);
-    result.total_samples += nw;
-
-    // Branch + trial-energy feedback (Alg. 1 L13-L14).
-    branch_walkers(pop_, config_.num_walkers, branch_rng_);
-    trial_energy_ = stats.energy -
-        config_.feedback / tau *
-            std::log(static_cast<double>(pop_.size()) / config_.num_walkers);
-    stats.trial_energy = trial_energy_;
-    result.generations.push_back(stats);
-    if (config_.on_generation)
-      config_.on_generation(gen, stats);
-    // The barrier state (post-branch population, fed-back trial energy)
-    // is exactly what a checkpoint must capture, so this sits after
-    // branching and feedback.
-    if (checkpoint_barrier(gen, io::ChainKind::DMC))
-    {
-      result.interrupted = true;
-      break;
-    }
-  }
-  result.seconds = stopwatch.seconds();
-  result.throughput = result.total_samples / result.seconds;
-  result.labels = labels_;
   detail::finalize_run_means(result, std::max(0, config_.warmup_steps - start_generation_));
   return result;
 }

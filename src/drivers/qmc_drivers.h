@@ -7,9 +7,9 @@
 // the compute objects. Each generation ends at a barrier where the
 // population statistics reduce in fixed walker order, so chains are
 // bitwise-identical for every thread count at a fixed crowd
-// decomposition. The DMC driver adds drift-diffusion importance
-// sampling, weight accumulation, serial birth/death branching and
-// trial-energy feedback (Alg. 1 L11-L14).
+// decomposition. VMC and DMC share one generation loop; DMC adds only
+// the reweighting, serial birth/death branching and trial-energy
+// feedback (Alg. 1 L13-L14).
 #ifndef QMCXX_DRIVERS_QMC_DRIVERS_H
 #define QMCXX_DRIVERS_QMC_DRIVERS_H
 
@@ -59,15 +59,15 @@ struct DriverConfig
   int recompute_period = 10;   ///< from-scratch rebuild cadence (Sec. 7.2)
   double feedback = 0.1;       ///< trial-energy population feedback
   /// Crowd-execution threads: each crowd of a generation runs on one
-  /// pool thread. 0 = hardware thread count, 1 = the legacy serial
-  /// path (no pool threads). Chains are bitwise-identical for every
+  /// pool thread. 0 = hardware thread count, 1 = serial on the calling
+  /// thread (no pool threads). Chains are bitwise-identical for every
   /// value at fixed crowd_size / population. Negative values are
   /// rejected at construction.
   int num_threads = 0;
   bool use_drift = true;       ///< importance-sampled proposals
-  /// Walkers evaluated together through the batched mw_* path; 1 selects
-  /// the legacy per-walker loop. Identical seeds give identical chains
-  /// at every crowd size (walker RNG streams are private).
+  /// Walkers evaluated together through the batched mw_* sweep, which
+  /// every size (1 included) takes. Identical seeds give identical
+  /// chains at every crowd size (walker RNG streams are private).
   int crowd_size = 4;
   /// Delayed (Woodbury) determinant updates: accepted rows bind into a
   /// rank-`delay_rank` window and apply as BLAS3 gemms (Sec. 8.4). 1 =
@@ -151,16 +151,6 @@ struct RunResult
   std::shared_ptr<const ObservableLabels> labels;
 };
 
-/// Per-thread compute resources: one crowd of `crowd_size` slots (the
-/// paper's Fig. 4 E_th/Psi_th clones, widened to a batch) plus its
-/// per-crowd mw_* scratch. Slot 0 doubles as the legacy single-walker
-/// context when crowd_size == 1.
-template<typename TR>
-struct CrowdContext
-{
-  std::unique_ptr<Crowd<TR>> crowd;
-};
-
 /// The walking ensemble plus its RNG streams.
 class WalkerPopulation
 {
@@ -230,28 +220,26 @@ public:
   void restore_snapshot(const io::PopulationSnapshot& snap);
 
 private:
+  /// Acceptance and drift-guard tallies of one crowd's sweep, or of a
+  /// whole generation once reduced over crowds.
   struct SweepOutcome
   {
-    int accepted = 0;
-    int proposed = 0;
-    FullPrecReal local_energy = 0.0;
-    InverseDriftReport drift; ///< guard tallies for the swept walkers
+    std::int64_t accepted = 0;
+    std::int64_t proposed = 0;
+    InverseDriftReport drift;
   };
 
-  /// One PbyP drift-diffusion sweep over all electrons of one walker,
-  /// followed by the local-energy measurement (Alg. 1 L4-L11). Legacy
-  /// crowd_size == 1 path, run against slot 0 of the thread's crowd.
-  /// `iw` is the walker's global population index (its sample row);
-  /// `gen` the absolute generation index (drives the drift guard's
-  /// rotating row selection).
-  SweepOutcome sweep_walker(CrowdContext<TR>& ctx, Walker& w, RandomGenerator& rng,
-                            bool recompute, int iw, int gen);
+  /// The generation loop both entry points share (Alg. 1): crowd sweeps,
+  /// then the serial barrier steps -- statistics, observables, callback,
+  /// checkpoint. DMC adds the reweight, branch and trial-energy feedback
+  /// steps; `kind` also tags the checkpoints.
+  RunResult run_chain(io::ChainKind kind);
 
   /// Record the measurement-point observables of crowd slot `slot`
   /// (Hamiltonian last_value components, estimator bins) into global
   /// walker row `iw` of the per-generation sample buffers. Rows are
   /// disjoint across walkers, so concurrent crowds never contend.
-  void record_samples(CrowdContext<TR>& ctx, int slot, int iw);
+  void record_samples(Crowd<TR>& crowd, int slot, int iw);
 
   /// Serial barrier reduction of the sample rows in fixed global
   /// walker order: weighted averages into stats.component_energies /
@@ -259,20 +247,19 @@ private:
   /// after reweighting) vs unit weights (VMC).
   void reduce_observables(GenerationStats& stats, bool weighted) const;
 
-  /// The batched sweep: acquire the population slice [first, first + n)
-  /// into the crowd, move every electron for all walkers in lockstep
-  /// through the mw_* API, measure, release. Walker energies/ages are
-  /// updated in place; returns the acceptance counters.
-  SweepOutcome sweep_crowd(CrowdContext<TR>& ctx, int first, int n, bool recompute, int gen);
+  /// The sweep: acquire the population slice [first, first + n) into
+  /// the crowd, move every electron for all walkers in lockstep through
+  /// the mw_* API, measure (Alg. 1 L4-L11), release. Walker
+  /// energies/ages are updated in place. `gen` is the absolute
+  /// generation index (drives the drift guard's rotating row selection).
+  SweepOutcome sweep_crowd(Crowd<TR>& crowd, int first, int n, bool recompute, int gen);
 
   /// Run one generation's crowds on the pool: crowd ic sweeps the
   /// population slice [ic*crowd_size, ...) on whichever thread claims
-  /// it, with all per-crowd results keyed by ic. Returns per-crowd
-  /// outcomes in crowd order (the fixed reduction order). `gen` is the
+  /// it, with all per-crowd results keyed by ic. Returns the outcomes
+  /// reduced in crowd order (the fixed reduction order). `gen` is the
   /// absolute generation index (resume offset included).
-  std::vector<SweepOutcome> run_generation_crowds(bool recompute, int gen);
-
-  void make_crowd_contexts();
+  SweepOutcome run_generation_crowds(bool recompute, int gen);
 
   /// Generation-barrier checkpoint/interrupt point: writes a snapshot
   /// when due (periodic cadence or pending stop) and reports whether
@@ -283,7 +270,9 @@ private:
   TrialWaveFunction<TR>& twf_proto_;
   Hamiltonian<TR>& ham_proto_;
   DriverConfig config_;
-  std::vector<CrowdContext<TR>> contexts_;
+  /// One crowd of `crowd_size` slots per pool thread (the paper's Fig. 4
+  /// E_th/Psi_th clones, widened to a batch) with its mw_* scratch.
+  std::vector<std::unique_ptr<Crowd<TR>>> crowds_;
   WalkerPopulation pop_;
   std::shared_ptr<const EstimatorSet<TR>> estimators_;
   std::shared_ptr<const ObservableLabels> labels_;

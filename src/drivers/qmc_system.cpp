@@ -34,7 +34,6 @@ EngineReport run_typed(const EngineRunSpec& spec, const SystemSpec& sysspec,
   // The spec's delay_rank is a default; an explicit driver request
   // (> 1) wins so job files can still A/B the delayed path.
   opt.delay_rank = spec.driver.delay_rank > 1 ? spec.driver.delay_rank : sysspec.delay_rank;
-  opt.spo_batched = spec.spo_batched;
   QMCSystem<TR> sys = build_system<TR>(sysspec, opt);
 
   // Stamp the workload identity into the driver config so snapshots

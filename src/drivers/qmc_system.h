@@ -43,9 +43,6 @@ struct EngineRunSpec
   EngineVariant variant = EngineVariant::Current;
   DriverConfig driver;
   bool dmc = true; ///< DMC (Alg. 1) vs VMC sampling
-  /// Crowd-batched spline kernels behind the SPO mw_* calls; false runs
-  /// the per-walker scalar backend loops (bitwise-identical A/B knob).
-  bool spo_batched = true;
   /// Attach the default estimator set (g(r) + S(k), src/estimators/).
   /// Estimator accumulation never touches the Markov chain; off by
   /// default so benchmark timings stay estimator-free.

@@ -52,7 +52,6 @@ struct SPOVGLBatch
   /// Start of reduced-coordinate component block c (0=v, 1..3=gu,
   /// 4..9=h), a contiguous num_walkers x stride() region.
   TR* vgh_block(int c) { return vgh.row(static_cast<std::size_t>(c) * num_walkers); }
-  TR* vgh_row(int c, int iw) { return vgh.row(static_cast<std::size_t>(c) * num_walkers + iw); }
   std::size_t stride() const { return psi.stride(); }
 };
 
@@ -195,31 +194,15 @@ public:
     const std::size_t stride = out.stride();
     {
       ScopedTimer timer(Kernel::BsplineVGH);
-      if (batched_kernels_)
-      {
-        // The component-major staging blocks bind directly to the multi
-        // kernel: block c is nw contiguous rows, so pos_stride is the
-        // padded row stride.
-        const SplineVGHMultiResult<TR> res{out.vgh_block(0),
-                                           {out.vgh_block(1), out.vgh_block(2), out.vgh_block(3)},
-                                           {out.vgh_block(4), out.vgh_block(5), out.vgh_block(6),
-                                            out.vgh_block(7), out.vgh_block(8), out.vgh_block(9)},
-                                           stride};
-        backend_->evaluate_vgh_multi(fold_positions(r, nw), nw, res);
-      }
-      else
-      {
-        for (int iw = 0; iw < nw; ++iw)
-        {
-          const Pos u = lattice_.to_unit_folded(r[iw]);
-          const TR ur[3] = {static_cast<TR>(u[0]), static_cast<TR>(u[1]), static_cast<TR>(u[2])};
-          SplineVGHResult<TR> res{out.vgh_row(0, iw),
-                                  {out.vgh_row(1, iw), out.vgh_row(2, iw), out.vgh_row(3, iw)},
-                                  {out.vgh_row(4, iw), out.vgh_row(5, iw), out.vgh_row(6, iw),
-                                   out.vgh_row(7, iw), out.vgh_row(8, iw), out.vgh_row(9, iw)}};
-          backend_->evaluate_vgh(ur, res);
-        }
-      }
+      // The component-major staging blocks bind directly to the multi
+      // kernel: block c is nw contiguous rows, so pos_stride is the
+      // padded row stride.
+      const SplineVGHMultiResult<TR> res{out.vgh_block(0),
+                                         {out.vgh_block(1), out.vgh_block(2), out.vgh_block(3)},
+                                         {out.vgh_block(4), out.vgh_block(5), out.vgh_block(6),
+                                          out.vgh_block(7), out.vgh_block(8), out.vgh_block(9)},
+                                         stride};
+      backend_->evaluate_vgh_multi(fold_positions(r, nw), nw, res);
     }
     {
       ScopedTimer timer(Kernel::SPOvgl);
@@ -237,33 +220,14 @@ public:
   }
 
   /// Crowd-batched values (the Bspline-v fan): one backend call for all
-  /// nr positions when batched kernels are enabled.
+  /// nr positions.
   void mw_evaluate_v(const Pos* r, int nr, TR* psi, std::size_t pos_stride) override
   {
     if (nr <= 0)
       return;
     ScopedTimer timer(Kernel::BsplineV);
-    if (batched_kernels_)
-    {
-      backend_->evaluate_v_multi(fold_positions(r, nr), nr, psi, pos_stride);
-    }
-    else
-    {
-      for (int i = 0; i < nr; ++i)
-      {
-        const Pos u = lattice_.to_unit_folded(r[i]);
-        const TR ur[3] = {static_cast<TR>(u[0]), static_cast<TR>(u[1]), static_cast<TR>(u[2])};
-        // qmcxx-lint: allow(scalar-spo-in-crowd-path)
-        backend_->evaluate_v(ur, psi + static_cast<std::size_t>(i) * pos_stride);
-      }
-    }
+    backend_->evaluate_v_multi(fold_positions(r, nr), nr, psi, pos_stride);
   }
-
-  /// Toggle between the crowd-batched backend kernels and the per-walker
-  /// scalar loops -- the A/B knob for the benches and the chain-parity
-  /// tests. Results are bitwise identical either way.
-  void set_batched_kernels(bool on) { batched_kernels_ = on; }
-  bool batched_kernels() const { return batched_kernels_; }
 
 private:
   /// Fold nw Cartesian positions to reduced coordinates in thread-local
@@ -346,7 +310,6 @@ private:
   std::shared_ptr<Backend> backend_;
   TR gmat_[3][3];
   TR lap_metric_[6];
-  bool batched_kernels_ = true;
 };
 
 template<typename TR>

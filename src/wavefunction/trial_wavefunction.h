@@ -9,6 +9,7 @@
 #ifndef QMCXX_WAVEFUNCTION_TRIAL_WAVEFUNCTION_H
 #define QMCXX_WAVEFUNCTION_TRIAL_WAVEFUNCTION_H
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -51,15 +52,6 @@ public:
     for (auto& c : components_)
       log_value_ += c->evaluate_log(p, g_, l_);
     return log_value_;
-  }
-
-  /// Mixed-precision repair: recompute all internal state in double
-  /// (paper Sec. 7.2, "new states are periodically computed from
-  /// scratch").
-  void recompute(ParticleSet<TR>& p)
-  {
-    p.update();
-    evaluate_log(p);
   }
 
   /// Gradient of log psi at the current position of particle k (drift).
@@ -262,15 +254,22 @@ public:
 
   /// Batched ratio and gradient for the proposed move of particle k:
   /// ratios multiply and gradients add across components, with each
-  /// component evaluated crowd-at-a-time.
+  /// component evaluated crowd-at-a-time. Fills entries [0, nw) of
+  /// `ratios`/`grads`, growing them if needed but never shrinking them:
+  /// they are a crowd's capacity-sized workspace, and a later, fuller
+  /// slice indexes past a shrunk size.
   static void mw_ratio_grad(const RefVector<TrialWaveFunction<TR>>& twf_list,
                             const RefVector<ParticleSet<TR>>& p_list, int k,
                             std::vector<double>& ratios, std::vector<Grad>& grads,
                             MWResourceSet& res)
   {
     const std::size_t nw = twf_list.size();
-    ratios.assign(nw, 1.0);
-    grads.assign(nw, Grad{});
+    if (ratios.size() < nw)
+      ratios.resize(nw);
+    if (grads.size() < nw)
+      grads.resize(nw);
+    std::fill_n(ratios.begin(), nw, 1.0);
+    std::fill_n(grads.begin(), nw, Grad{});
     const int nc = twf_list[0].get().num_components();
     RefVector<WaveFunctionComponent<TR>> comp_list;
     for (int c = 0; c < nc; ++c)

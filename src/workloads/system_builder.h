@@ -61,11 +61,6 @@ struct BuildOptions
   /// bitwise-identical legacy path); values > 1 build
   /// DiracDeterminantDelayed for both spin blocks.
   int delay_rank = 1;
-  /// Crowd-batched spline kernels (evaluate_v_multi/evaluate_vgh_multi)
-  /// behind the SPO mw_* calls; false selects the per-walker scalar
-  /// backend loops. Results are bitwise identical either way (the A/B
-  /// knob for benches and chain-parity tests).
-  bool spo_batched = true;
 };
 
 template<typename TR>
@@ -125,17 +120,13 @@ QMCSystem<TR> build_system(const SystemSpec& spec, const BuildOptions& opt)
     {
       auto backend = std::make_shared<MultiBspline3D<TR>>();
       fill_synthetic_orbitals<TR>(*backend, gx, gy, gz, spec.num_orbitals, opt.seed);
-      auto spos = std::make_shared<BsplineSPOSetSoA<TR>>(spec.lattice, backend);
-      spos->set_batched_kernels(opt.spo_batched);
-      sys.spos = std::move(spos);
+      sys.spos = std::make_shared<BsplineSPOSetSoA<TR>>(spec.lattice, backend);
     }
     else
     {
       auto backend = std::make_shared<BsplineSetAoS<TR>>();
       fill_synthetic_orbitals<TR>(*backend, gx, gy, gz, spec.num_orbitals, opt.seed);
-      auto spos = std::make_shared<BsplineSPOSetAoS<TR>>(spec.lattice, backend);
-      spos->set_batched_kernels(opt.spo_batched);
-      sys.spos = std::move(spos);
+      sys.spos = std::make_shared<BsplineSPOSetAoS<TR>>(spec.lattice, backend);
     }
   }
 

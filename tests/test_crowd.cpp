@@ -1,7 +1,7 @@
-// Crowd (multi-walker) API tests: crowd-vs-scalar parity of the VMC and
-// DMC drivers on the Graphite workload, bit-exact walker-buffer
-// round-trips inside a crowd, and batched-vs-scalar agreement of the
-// mw_ratio_grad kernel path.
+// Crowd (multi-walker) API tests: bitwise chain parity of the VMC and
+// DMC drivers across crowd sizes on the Graphite workload, bit-exact
+// walker-buffer round-trips inside a crowd, batched-vs-scalar agreement
+// of the mw_ratio_grad kernel path, and the crowd workspace sizing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -89,21 +89,6 @@ std::vector<std::unique_ptr<Walker>> make_registered_walkers(QMCSystem<TR>& sys,
   return walkers;
 }
 
-void expect_traces_match(const RunResult& a, const RunResult& b, double rel_tol)
-{
-  ASSERT_EQ(a.generations.size(), b.generations.size());
-  for (std::size_t g = 0; g < a.generations.size(); ++g)
-  {
-    EXPECT_NEAR(a.generations[g].energy, b.generations[g].energy,
-                rel_tol * std::abs(a.generations[g].energy) + rel_tol)
-        << "generation " << g;
-    EXPECT_EQ(a.generations[g].num_walkers, b.generations[g].num_walkers) << "generation " << g;
-    EXPECT_NEAR(a.generations[g].acceptance, b.generations[g].acceptance, 1e-12)
-        << "generation " << g;
-  }
-  EXPECT_NEAR(a.mean_energy, b.mean_energy, rel_tol * std::abs(a.mean_energy) + rel_tol);
-}
-
 /// Bitwise identity of two chains: every per-generation statistic,
 /// including the branching-sensitive ones, compared with exact ==.
 void expect_traces_bitwise(const RunResult& a, const RunResult& b)
@@ -133,30 +118,30 @@ void expect_nonnegative_variance(const RunResult& r)
 
 TEST(CrowdParity, TinyVmcIdenticalAcrossCrowdSizes)
 {
-  // Per-walker RNG streams are private, so the crowd path must replay
-  // exactly the same Markov chain as the legacy per-walker path.
+  // Per-walker RNG streams are private, so every crowd size must replay
+  // exactly the same Markov chain.
   const WorkloadInfo info = tiny_workload();
-  const RunResult scalar = run_workload<double>(info, crowd_config(1), /*dmc=*/false);
+  const RunResult crowd1 = run_workload<double>(info, crowd_config(1), /*dmc=*/false);
   const RunResult crowd2 = run_workload<double>(info, crowd_config(2), /*dmc=*/false);
   const RunResult crowd4 = run_workload<double>(info, crowd_config(4), /*dmc=*/false);
-  expect_traces_match(scalar, crowd2, 1e-10);
-  expect_traces_match(scalar, crowd4, 1e-10);
+  expect_traces_bitwise(crowd1, crowd2);
+  expect_traces_bitwise(crowd1, crowd4);
 }
 
-TEST(CrowdParity, GraphiteVmcCrowdMatchesScalar)
+TEST(CrowdParity, GraphiteVmcBitwiseAcrossCrowdSizes)
 {
   const WorkloadInfo& info = workload_info(Workload::Graphite);
-  const RunResult scalar = run_workload<double>(info, crowd_config(1, /*steps=*/2), false);
-  const RunResult crowd = run_workload<double>(info, crowd_config(4, /*steps=*/2), false);
-  expect_traces_match(scalar, crowd, 1e-9);
+  const RunResult crowd1 = run_workload<double>(info, crowd_config(1, /*steps=*/2), false);
+  const RunResult crowd4 = run_workload<double>(info, crowd_config(4, /*steps=*/2), false);
+  expect_traces_bitwise(crowd1, crowd4);
 }
 
-TEST(CrowdParity, GraphiteDmcCrowdMatchesScalar)
+TEST(CrowdParity, GraphiteDmcBitwiseAcrossCrowdSizes)
 {
   const WorkloadInfo& info = workload_info(Workload::Graphite);
-  const RunResult scalar = run_workload<double>(info, crowd_config(1, /*steps=*/2), true);
-  const RunResult crowd = run_workload<double>(info, crowd_config(4, /*steps=*/2), true);
-  expect_traces_match(scalar, crowd, 1e-9);
+  const RunResult crowd1 = run_workload<double>(info, crowd_config(1, /*steps=*/2), true);
+  const RunResult crowd4 = run_workload<double>(info, crowd_config(4, /*steps=*/2), true);
+  expect_traces_bitwise(crowd1, crowd4);
 }
 
 TEST(CrowdParity, PartialCrowdsAndOddPopulations)
@@ -164,9 +149,9 @@ TEST(CrowdParity, PartialCrowdsAndOddPopulations)
   // crowd_size that does not divide the population exercises the
   // partial-slice acquire.
   const WorkloadInfo info = tiny_workload();
-  const RunResult scalar = run_workload<double>(info, crowd_config(1, 3, 5), false);
+  const RunResult crowd1 = run_workload<double>(info, crowd_config(1, 3, 5), false);
   const RunResult crowd3 = run_workload<double>(info, crowd_config(3, 3, 5), false);
-  expect_traces_match(scalar, crowd3, 1e-10);
+  expect_traces_bitwise(crowd1, crowd3);
 }
 
 TEST(CrowdBuffer, RoundTripBitExactInsideCrowd)
@@ -258,6 +243,31 @@ TEST(CrowdKernels, BatchedRatioGradMatchesScalar)
   }
 }
 
+TEST(CrowdKernels, RatioGradKeepsWorkspaceSizedToCapacity)
+{
+  // The crowd's ratios/grads are capacity-sized workspace: a partial
+  // slice must not shrink them, or a later, fuller slice (DMC population
+  // growth) indexes grads[iw] past size().
+  const WorkloadInfo info = tiny_workload();
+  BuildOptions opt;
+  auto sys = build_system<double>(info, opt);
+  auto walkers = make_registered_walkers(sys, 2, 11);
+  std::vector<RandomGenerator> rngs{RandomGenerator(1), RandomGenerator(2)};
+  Crowd<double> crowd(*sys.elec, *sys.twf, nullptr, /*capacity=*/4);
+  crowd.acquire(walkers.data(), rngs.data(), 2, /*recompute=*/false);
+  const int k = 5;
+  for (int iw = 0; iw < 2; ++iw)
+    crowd.rnew[iw] = crowd.elec(iw).pos(k) + TinyVector<double, 3>{0.1, -0.05, 0.02};
+  ParticleSet<double>::mw_prepare_move(crowd.p_refs(), k);
+  ParticleSet<double>::mw_make_move(crowd.p_refs(), k, crowd.rnew);
+  TrialWaveFunction<double>::mw_ratio_grad(crowd.twf_refs(), crowd.p_refs(), k, crowd.ratios,
+                                           crowd.grads, crowd.resources());
+  EXPECT_EQ(crowd.ratios.size(), 4u);
+  EXPECT_EQ(crowd.grads.size(), 4u);
+  for (int iw = 0; iw < 2; ++iw)
+    EXPECT_TRUE(std::isfinite(crowd.ratios[iw])) << "walker " << iw;
+}
+
 TEST(CrowdResources, PerComponentResourcesAreAllocated)
 {
   const WorkloadInfo info = tiny_workload();
@@ -328,10 +338,10 @@ TEST(ThreadParity, GraphiteDmcBitwiseIdenticalAcrossThreadCounts)
   }
 }
 
-TEST(ThreadParity, ThreadsComposeWithLegacyScalarPath)
+TEST(ThreadParity, ThreadsComposeWithSingleWalkerCrowds)
 {
-  // crowd_size == 1 (the legacy per-walker sweep) threads over walkers;
-  // it must agree bitwise with its own serial run too.
+  // crowd_size == 1 threads over walkers one crowd each; it must agree
+  // bitwise with its own serial run too.
   const WorkloadInfo info = tiny_workload();
   DriverConfig cfg = crowd_config(/*crowd_size=*/1, /*steps=*/3, /*walkers=*/4);
   const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/true);

@@ -483,14 +483,13 @@ TEST(DelayedDriverParity, GraphiteDmcEnergyParityWithBranching)
 TEST(DelayedDriverParity, DelayedChainInvariantAcrossCrowdSizes)
 {
   // For a fixed delay rank the chain must not depend on crowd batching:
-  // the scalar per-walker sweep and the batched mw_* sweep share one
-  // ratio/accept code path through the engine.
+  // every crowd size runs the same mw_* sweep through the engine.
   const WorkloadInfo info = tiny_workload();
-  const RunResult scalar = run_delayed(info, delayed_config(4, 1), /*dmc=*/false);
+  const RunResult crowd1 = run_delayed(info, delayed_config(4, 1), /*dmc=*/false);
   const RunResult crowd2 = run_delayed(info, delayed_config(4, 2), /*dmc=*/false);
   const RunResult crowd4 = run_delayed(info, delayed_config(4, 4), /*dmc=*/false);
-  expect_traces_match(scalar, crowd2, 1e-10);
-  expect_traces_match(scalar, crowd4, 1e-10);
+  expect_traces_match(crowd1, crowd2, 1e-10);
+  expect_traces_match(crowd1, crowd4, 1e-10);
 }
 
 TEST(DelayedDriverParity, FlushAtBarrierBitwiseAcrossThreadCounts)

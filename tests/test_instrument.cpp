@@ -1,11 +1,10 @@
 // Unit tests: instrumentation substrates -- timers, scaling model,
-// energy model, roofline counters and report formatting.
+// roofline counters and report formatting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
 
-#include "instrument/energy_model.h"
 #include "instrument/report.h"
 #include "instrument/roofline.h"
 #include "instrument/scaling_model.h"
@@ -88,31 +87,6 @@ TEST(ScalingModel, SmallerWalkersScaleBetter)
   const auto big = project_strong_scaling(1e-4, 35 << 20, 1 << 17, {1024}, params);
   const auto small = project_strong_scaling(1e-4, 12 << 20, 1 << 17, {1024}, params);
   EXPECT_GT(small[0].throughput, big[0].throughput);
-}
-
-TEST(EnergyModel, EnergyProportionalToRuntime)
-{
-  EnergyModel model(213.0);
-  EXPECT_NEAR(model.run_energy_joules(100.0) / model.run_energy_joules(50.0), 2.0, 1e-12);
-}
-
-TEST(EnergyModel, TraceIsFlatDuringRun)
-{
-  EnergyModel model(213.0, 150.0, 2.5);
-  const auto trace = model.trace(60.0, 300.0, 5.0);
-  ASSERT_GT(trace.size(), 10u);
-  for (const auto& s : trace)
-  {
-    if (s.time_s > 65.0)
-    {
-      EXPECT_GE(s.watts, 210.0); // paper: 210-215 W band
-      EXPECT_LE(s.watts, 216.0);
-    }
-    else if (s.time_s < 55.0)
-    {
-      EXPECT_LT(s.watts, 160.0); // init phase is cooler
-    }
-  }
 }
 
 TEST(Roofline, CountsScaleWithCalls)

@@ -6,20 +6,20 @@
 // single-node speedup translates directly to scale because the MPI
 // pattern (one allreduce + walker migration) is unchanged.
 //
-// qmcxx measures the per-walker-step compute time and serialized walker
-// size of each engine on this host and projects the same node counts
-// through a calibrated alpha-beta communication model (DESIGN.md).
+// qmcxx has no multi-node runs, so it reports only what this host
+// measures: the per-walker-step compute time and serialized walker size
+// of each engine on NiO-64, i.e. the on-node speedup the paper's curves
+// carry to scale.
 //
 // --real-threads additionally runs a measured on-node thread sweep:
 // NiO-32 crowds execute concurrently on the drivers' ThreadPool for
 // num_threads in {1, 2, 4} and the measured throughputs land in
-// BENCH_fig1_scaling.json next to the modeled curves (records tagged by
-// the "num_threads"/"modeled" metrics). Chains are bitwise-identical
-// across the sweep, so the speedup is pure execution overlap.
+// BENCH_fig1_scaling.json next to the NiO-64 records (tagged by the
+// "num_threads" metric). Chains are bitwise-identical across the sweep,
+// so the speedup is pure execution overlap.
 #include <cstring>
 
 #include "bench/bench_common.h"
-#include "instrument/scaling_model.h"
 
 using namespace qmcxx;
 
@@ -50,7 +50,6 @@ void run_real_thread_sweep(bench::BenchJsonWriter& json)
     rows.push_back({std::to_string(threads), "4", fmt(rep.result.throughput, 2) + "/s",
                     fmt(speedup, 2) + "x"});
     json.add_engine_record("NiO-32", "Current", rep);
-    json.add_metric("modeled", 0);
     json.add_metric("num_threads", threads);
     json.add_metric("num_crowds", 4);
     json.add_metric("speedup_vs_serial", speedup);
@@ -69,7 +68,7 @@ int main(int argc, char** argv)
     if (!std::strcmp(argv[a], "--real-threads"))
       real_threads = true;
 
-  bench::header("Figure 1: NiO-64 strong scaling, Ref vs Current",
+  bench::header("Figure 1: NiO-64 on-node speedup behind the strong scaling, Ref vs Current",
                 "Mathuriya et al. SC'17, Fig. 1");
   bench::BenchJsonWriter json("fig1_scaling");
 
@@ -82,10 +81,8 @@ int main(int argc, char** argv)
   const std::size_t wb_cur = cur.walker_bytes / std::max(1, cur.result.generations.back().num_walkers);
 
   json.add_engine_record("NiO-64", "Ref", ref);
-  json.add_metric("modeled", 1);
   json.add_metric("s_per_walker_step", t_ref);
   json.add_engine_record("NiO-64", "Current", cur);
-  json.add_metric("modeled", 1);
   json.add_metric("s_per_walker_step", t_cur);
   json.add_metric("on_node_speedup", t_ref / t_cur);
 
@@ -94,64 +91,7 @@ int main(int argc, char** argv)
               format_bytes(wb_ref).c_str());
   std::printf("  Current: %.4f s/walker-step, walker message %s\n", t_cur,
               format_bytes(wb_cur).c_str());
-  std::printf("  on-node speedup: %.2fx (paper: 2-4.5x)\n\n", t_ref / t_cur);
-
-  const long population = 131072; // paper's target DMC population
-  const std::vector<int> knl_nodes = {64, 128, 256, 512, 1024};
-  const std::vector<int> bdw_sockets = {64, 128, 256, 512};
-
-  // Interconnect parameter sets: Aries dragonfly (KNL/Trinity-like) and
-  // Omni-Path (BDW/Serrano-like).
-  // Node compute: 64 KNL cores / 18-core BDW sockets execute the walker
-  // crowd in parallel; the measured single-core time is divided down.
-  ScalingParams aries;
-  aries.allreduce_alpha_s = 40e-6;
-  aries.network_bw = 8e9;
-  aries.node_cores = 64.0;
-  ScalingParams opa;
-  opa.allreduce_alpha_s = 15e-6;
-  opa.network_bw = 12e9;
-  opa.node_cores = 18.0;
-
-  struct Series
-  {
-    const char* label;
-    double t_walker;
-    std::size_t walker_bytes;
-    const std::vector<int>* nodes;
-    const ScalingParams* params;
-  };
-  const Series series[] = {
-      {"KNL-like Ref", t_ref, wb_ref, &knl_nodes, &aries},
-      {"KNL-like Current", t_cur, wb_cur, &knl_nodes, &aries},
-      {"BDW-like Ref", t_ref, wb_ref, &bdw_sockets, &opa},
-      {"BDW-like Current", t_cur, wb_cur, &bdw_sockets, &opa},
-  };
-
-  // Normalization: Ref on 64 BDW-like sockets (as in the paper).
-  const auto ref_bdw64 =
-      project_strong_scaling(t_ref, wb_ref, population, {64}, opa).front().throughput;
-
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"series", "nodes", "t/step(s)", "normalized", "efficiency", "ideal-slope"});
-  for (const auto& s : series)
-  {
-    const auto pts = project_strong_scaling(s.t_walker, s.walker_bytes, population, *s.nodes,
-                                            *s.params);
-    for (const auto& pt : pts)
-    {
-      const double normalized = pt.throughput / ref_bdw64;
-      const double ideal = pts.front().throughput / ref_bdw64 *
-          (static_cast<double>(pt.nodes) / pts.front().nodes);
-      rows.push_back({s.label, std::to_string(pt.nodes), fmt(pt.step_seconds, 4),
-                      fmt(normalized, 2), fmt(pt.efficiency * 100, 1) + "%", fmt(ideal, 2)});
-    }
-  }
-  print_table(rows);
-
-  std::printf("\npaper shape check: Ref and Current both scale near-ideally\n"
-              "(paper: 90%% on KNL, 98%% on BDW at the largest counts); the gap\n"
-              "between the Current and Ref series is the on-node speedup.\n");
+  std::printf("  on-node speedup: %.2fx (paper: 2-4.5x)\n", t_ref / t_cur);
 
   if (real_threads)
     run_real_thread_sweep(json);

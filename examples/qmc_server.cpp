@@ -87,7 +87,7 @@ std::string generation_record(const std::string& job, int gen, const GenerationS
   // The named observables qualify -- component energies and estimator
   // bins reduce in fixed walker order and never perturb the chain --
   // so extending this record stays a versioned additive change.
-  std::string rec = std::string("{\"type\": \"generation\", \"job\": \"") + job +
+  std::string rec = std::string("{\"type\": \"generation\", \"job\": \"") + io::json_escape(job) +
       "\", \"gen\": " + std::to_string(gen) + ", \"energy\": " + io::json_number(s.energy) +
       ", \"variance\": " + io::json_number(s.variance) +
       ", \"weight\": " + io::json_number(s.weight) +
@@ -141,7 +141,7 @@ std::string completion_record(const std::string& job, const EngineReport& rep,
 {
   const double peak_mb = static_cast<double>(rep.peak_bytes) / (1024.0 * 1024.0);
   const bool exceeded = budget_mb > 0.0 && peak_mb > budget_mb;
-  return std::string("{\"type\": \"job-complete\", \"job\": \"") + job +
+  return std::string("{\"type\": \"job-complete\", \"job\": \"") + io::json_escape(job) +
       "\", \"generations\": " + std::to_string(rep.result.generations.size()) +
       ", \"start_generation\": " + std::to_string(rep.result.start_generation) +
       ", \"mean_energy\": " + io::json_number(rep.result.mean_energy) +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -98,9 +99,12 @@ public:
         case '"': out += '"'; break;
         case '\\': out += '\\'; break;
         case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
         case 'n': out += '\n'; break;
         case 't': out += '\t'; break;
         case 'r': out += '\r'; break;
+        case 'u': append_utf8(out, code_point()); break;
         default: fail(std::string("unsupported escape '\\") + e + "'");
         }
       }
@@ -109,6 +113,46 @@ public:
         out += c;
       }
     }
+  }
+
+  /// The four hex digits of a `\u` escape.
+  unsigned hex4()
+  {
+    unsigned v = 0;
+    const char* first = s_.data() + pos_;
+    const char* last = first + std::min<std::size_t>(4, s_.size() - pos_);
+    const auto [end, ec] = std::from_chars(first, last, v, 16);
+    if (ec != std::errc() || end != first + 4)
+      fail("\\u escape needs four hex digits");
+    pos_ += 4;
+    return v;
+  }
+
+  /// Code point of a `\u` escape whose `\u` is consumed; a UTF-16
+  /// surrogate pair takes the following `\u` escape too.
+  unsigned code_point()
+  {
+    const unsigned hi = hex4();
+    if (hi >= 0xDC00 && hi <= 0xDFFF)
+      fail("unpaired surrogate in \\u escape");
+    if (hi < 0xD800 || hi > 0xDBFF)
+      return hi;
+    if (s_.compare(pos_, 2, "\\u") != 0)
+      fail("unpaired surrogate in \\u escape");
+    pos_ += 2;
+    const unsigned lo = hex4();
+    if (lo < 0xDC00 || lo > 0xDFFF)
+      fail("unpaired surrogate in \\u escape");
+    return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+  }
+
+  static void append_utf8(std::string& out, unsigned cp)
+  {
+    static constexpr unsigned lead[] = {0x00, 0xC0, 0xE0, 0xF0};
+    const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    out += static_cast<char>(lead[tail] | (cp >> (6 * tail)));
+    for (int k = tail - 1; k >= 0; --k)
+      out += static_cast<char>(0x80 | ((cp >> (6 * k)) & 0x3F));
   }
 
   bool parse_bool()
@@ -515,18 +559,6 @@ SystemSpec parse_system_spec(const std::string& json_text, const std::string& or
 
 namespace
 {
-
-std::string json_escape(const std::string& s)
-{
-  std::string out;
-  for (const char c : s)
-  {
-    if (c == '"' || c == '\\')
-      out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 std::string triple_json(const TinyVector<double, 3>& v)
 {

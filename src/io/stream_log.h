@@ -45,6 +45,42 @@ inline std::string json_number(double v)
   return buf;
 }
 
+/// Body of a JSON string literal holding `s`: `"` and `\` are
+/// backslash-escaped and every byte below 0x20 becomes its short escape
+/// (\b \f \n \r \t) or \u00XX, so any job or system name -- a spool
+/// file stem can hold quotes and control bytes -- stays one valid JSON
+/// string. Bytes from 0x20 up pass through unchanged.
+inline std::string json_escape(const std::string& s)
+{
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s)
+  {
+    switch (c)
+    {
+    case '"': out += "\\\""; break;
+    case '\\': out += "\\\\"; break;
+    case '\b': out += "\\b"; break;
+    case '\f': out += "\\f"; break;
+    case '\n': out += "\\n"; break;
+    case '\r': out += "\\r"; break;
+    case '\t': out += "\\t"; break;
+    default:
+      if (static_cast<unsigned char>(c) < 0x20)
+      {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
+      else
+      {
+        out += c;
+      }
+    }
+  }
+  return out;
+}
+
 } // namespace qmcxx::io
 
 #endif

@@ -9,10 +9,13 @@
 // Orthorhombic cells use a branch-free component-wise wrap in compute
 // precision; skewed (hexagonal etc.) cells use the reduced wrap plus
 // the 8-corner search, the general-cell scheme QMCPACK's SoA tables
-// employ. Both row loops vectorize at the baseline ISA: rounding is
-// plain arithmetic (round_half_even) instead of a libm call, the corner
-// search is unrolled, and the library builds with -fno-math-errno
-// -fno-trapping-math so sqrt and the selects if-convert (CMakeLists.txt).
+// employ. Both row loops vectorize at the compiler's default x86-64
+// target (SSE2) and at the host ISA the library builds for by default:
+// rounding is plain arithmetic (round_half_even) instead of a libm call,
+// the corner search is unrolled, and the library builds with
+// -fno-math-errno -fno-trapping-math so sqrt and the selects if-convert
+// (CMakeLists.txt). The loops are element-wise, so their results do not
+// depend on the vector width.
 #ifndef QMCXX_PARTICLE_MIN_IMAGE_KERNEL_H
 #define QMCXX_PARTICLE_MIN_IMAGE_KERNEL_H
 

@@ -1,5 +1,5 @@
-// Unit tests: instrumentation substrates -- timers, scaling model,
-// roofline counters and report formatting.
+// Unit tests: instrumentation substrates -- timers, roofline counters
+// and report formatting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "instrument/report.h"
 #include "instrument/roofline.h"
-#include "instrument/scaling_model.h"
 #include "instrument/timer.h"
 #include "workloads/workloads.h"
 
@@ -53,40 +52,6 @@ TEST(Timer, KernelNamesMatchPaperTaxonomy)
   EXPECT_STREQ(kernel_name(Kernel::BsplineVGH), "Bspline-vgh");
   EXPECT_STREQ(kernel_name(Kernel::SPOvgl), "SPO-vgl");
   EXPECT_STREQ(kernel_name(Kernel::DetUpdate), "DetUpdate");
-}
-
-TEST(ScalingModel, IdealWithoutOverheads)
-{
-  ScalingParams params;
-  params.allreduce_alpha_s = 0;
-  params.migration_fraction = 0;
-  params.node_overhead_s = 0;
-  params.imbalance_coeff = 0;
-  const auto pts = project_strong_scaling(1e-3, 1 << 20, 1 << 17, {64, 128, 256}, params);
-  for (const auto& pt : pts)
-    EXPECT_NEAR(pt.efficiency, 1.0, 1e-12) << pt.nodes;
-  EXPECT_NEAR(pts[1].throughput / pts[0].throughput, 2.0, 1e-12);
-}
-
-TEST(ScalingModel, EfficiencyDegradesWithNodeCount)
-{
-  ScalingParams params; // defaults include imbalance + comm terms
-  const auto pts = project_strong_scaling(1e-3, 30 << 20, 1 << 17, {64, 256, 1024}, params);
-  EXPECT_GT(pts[0].efficiency, pts[1].efficiency);
-  EXPECT_GT(pts[1].efficiency, pts[2].efficiency);
-  EXPECT_GT(pts[2].efficiency, 0.5); // still "near ideal"
-}
-
-TEST(ScalingModel, SmallerWalkersScaleBetter)
-{
-  // The Current engine's smaller walker messages (paper: -22.5 MB for
-  // NiO-64) reduce the migration term.
-  ScalingParams params;
-  params.migration_fraction = 0.05;
-  params.network_bw = 1e9; // slow network to expose the term
-  const auto big = project_strong_scaling(1e-4, 35 << 20, 1 << 17, {1024}, params);
-  const auto small = project_strong_scaling(1e-4, 12 << 20, 1 << 17, {1024}, params);
-  EXPECT_GT(small[0].throughput, big[0].throughput);
 }
 
 TEST(Roofline, CountsScaleWithCalls)

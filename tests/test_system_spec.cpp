@@ -13,6 +13,7 @@
 #include "drivers/qmc_system.h"
 #include "io/job_spec.h"
 #include "io/snapshot.h"
+#include "io/stream_log.h"
 #include "workloads/system_builder.h"
 #include "workloads/system_spec.h"
 
@@ -267,6 +268,39 @@ TEST(SpecParser, RejectsUndersizedGrid)
 {
   expect_parse_fails(tiny_spec_with("\"grid\": [10, 10, 10]", "\"grid\": [3, 10, 10]"),
                      "grid dimensions");
+}
+
+// ---- string escaping ---------------------------------------------------
+
+TEST(JsonEscape, QuotesBackslashesAndControlBytes)
+{
+  EXPECT_EQ(io::json_escape("\""), "\\\"");
+  EXPECT_EQ(io::json_escape("\\"), "\\\\");
+  EXPECT_EQ(io::json_escape("\n"), "\\n");
+  EXPECT_EQ(io::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(io::json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(io::json_escape("graphite-32 \xc3\xa9"), "graphite-32 \xc3\xa9");
+}
+
+TEST(SystemSpec, EscapedNameRoundTripsBitwise)
+{
+  SystemSpec spec = io::parse_system_spec(tiny_spec_json(), "test-spec");
+  spec.name = std::string("say \"hi\" \\ two\nlines ") + '\x01' + " end";
+  const SystemSpec round =
+      io::parse_system_spec(io::serialize_system_spec(spec), "escaped-name round-trip");
+  expect_specs_equal(spec, round);
+}
+
+TEST(SpecParser, DecodesShortAndUnicodeEscapes)
+{
+  const SystemSpec spec = io::parse_system_spec(
+      tiny_spec_with("\"name\": \"Tiny\"", R"("name": "T\u0069ny \u00e9 \ud83d\ude00 \b\f")"),
+      "test-spec");
+  EXPECT_EQ(spec.name, "Tiny \xc3\xa9 \xf0\x9f\x98\x80 \b\f");
+  expect_parse_fails(tiny_spec_with("\"name\": \"Tiny\"", R"("name": "\ud83d!")"),
+                     "unpaired surrogate");
+  expect_parse_fails(tiny_spec_with("\"name\": \"Tiny\"", R"("name": "\u00zz")"),
+                     "four hex digits");
 }
 
 TEST(JobSpecParser, AcceptsSpecPathAndEstimators)

@@ -4,6 +4,8 @@
 # server mid-run, resume, and require (a) clean retirement of all jobs
 # and (b) streamed "generation" records identical to an uninterrupted
 # reference run -- the serving-path form of the exact-resume guarantee.
+# The reference run also serves a job whose file name holds double
+# quotes, and every streamed line must parse as JSON.
 #
 #   usage: tools/ci/server_smoke.sh BUILD_DIR
 set -euo pipefail
@@ -42,10 +44,14 @@ echo "$JOB3" > "$SPOOL/job3.json"
 echo "$JOB1" > "$REF/job1.json"
 echo "$JOB2" > "$REF/job2.json"
 echo "$JOB3" > "$REF/job3.json"
+# The job name is the file stem, and it is streamed in every record.
+QUOTED='say "hi"'
+echo "$JOB3" > "$REF/$QUOTED.json"
 
 echo "server_smoke: reference run"
 "$SERVER" --spool "$REF" --once
 [ -f "$REF/job1.json.done" ] && [ -f "$REF/job2.json.done" ] && [ -f "$REF/job3.json.done" ] \
+  && [ -f "$REF/$QUOTED.json.done" ] \
   || { echo "server_smoke: reference run did not retire all jobs" >&2; exit 1; }
 
 echo "server_smoke: interrupted run"
@@ -105,5 +111,22 @@ for job in job1 job2 job3; do
     exit 1
   fi
 done
+
+# Every streamed line is one JSON record naming its job, quotes in the
+# file name included.
+python3 - "$REF" "$SPOOL" <<'EOF'
+import glob, json, os, sys
+for d in sys.argv[1:]:
+    for path in sorted(glob.glob(os.path.join(d, "*.json.stream"))):
+        job = os.path.basename(path)[:-len(".json.stream")]
+        with open(path, encoding="utf-8") as f:
+            for n, line in enumerate(f, 1):
+                try:
+                    rec = json.loads(line)
+                except ValueError as e:
+                    sys.exit(f"server_smoke: {path}:{n} is not valid JSON ({e})")
+                if rec.get("job") != job:
+                    sys.exit(f"server_smoke: {path}:{n} names job {rec.get('job')!r}, not {job!r}")
+EOF
 
 echo "server_smoke: OK (SIGTERM checkpoint + resume, streams bitwise-identical)"

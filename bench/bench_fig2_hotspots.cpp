@@ -24,7 +24,7 @@ int main()
     const EngineReport cur = bench::run(w, EngineVariant::Current);
     const double speedup = ref.result.seconds / cur.result.seconds *
         (static_cast<double>(cur.result.total_samples) / ref.result.total_samples);
-    std::printf("\n%s (Current speedup %.2fx):\n", workload_info(w).name.c_str(), speedup);
+    std::printf("\n%s (Current speedup %.2fx):\n", workload_spec(w).name.c_str(), speedup);
     print_profile("Ref", ref.profile);
     // Scale the Current profile by 1/speedup, as in the paper's figure
     // ("Current version profiles accommodate the speedup").
@@ -38,7 +38,7 @@ int main()
     std::printf("  DetUpdate share: Ref %.1f%% -> Current %.1f%% (paper NiO-64: 7%% -> 10%%)\n",
                 100 * det_ref, 100 * det_cur);
 
-    const std::string name = workload_info(w).name;
+    const std::string name = workload_spec(w).name;
     json.add_engine_record(name, to_string(EngineVariant::Ref), ref);
     json.add_engine_record(name, to_string(EngineVariant::Current), cur);
     json.add_metric("speedup_over_ref", speedup);
@@ -65,7 +65,7 @@ int main()
         rep.profile.seconds[static_cast<int>(Kernel::BsplineV)];
     std::printf("  %-6d %12.3f %14.3f %14.1f\n", crowd, rep.result.seconds, bspline_sec,
                 rep.result.throughput);
-    json.add_engine_record(workload_info(Workload::NiO32).name, to_string(EngineVariant::Current),
+    json.add_engine_record(workload_spec(Workload::NiO32).name, to_string(EngineVariant::Current),
                            rep);
     json.add_metric("crowd_size", crowd);
     json.add_metric("bspline_kernel_seconds", bspline_sec);

@@ -10,6 +10,7 @@
 #include "bench/bench_common.h"
 #include "numerics/spline_builder.h"
 #include "workloads/system_builder.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
 
@@ -17,7 +18,7 @@ int main()
 {
   bench::header("Figure 3: NiO-32 Jastrow functors", "Mathuriya et al. SC'17, Fig. 3");
 
-  const WorkloadInfo& info = workload_info(Workload::NiO32);
+  const SystemSpec info = workload_spec(Workload::NiO32);
   const double rw = info.lattice.wigner_seitz_radius();
   const double rc_j2 = 0.99 * rw;
   const int knots = 10;

@@ -17,6 +17,7 @@
 #include "wavefunction/jastrow_two_body.h"
 #include "wavefunction/spo_set.h"
 #include "workloads/system_builder.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
 
@@ -228,10 +229,9 @@ template<bool BATCHED>
 void bm_crowd_ratio_grad(benchmark::State& state)
 {
   const int nw = static_cast<int>(state.range(0));
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
   BuildOptions opt;
   opt.with_hamiltonian = false;
-  auto sys = build_system<float>(info, opt);
+  auto sys = build_system<float>(workload_spec(Workload::Graphite), opt);
 
   Crowd<float> crowd(*sys.elec, *sys.twf, nullptr, nw);
   std::vector<std::unique_ptr<Walker>> walkers;

@@ -41,7 +41,7 @@ int main()
 
   for (Workload w : {Workload::Graphite, Workload::NiO32})
   {
-    const std::string name = workload_info(w).name;
+    const std::string name = workload_spec(w).name;
     EngineReport reports[2];
     const Precision precisions[2] = {Precision::Single, Precision::Double};
     for (int c = 0; c < 2; ++c)

@@ -18,6 +18,7 @@
 #include "instrument/stopwatch.h"
 #include "io/snapshot.h"
 #include "workloads/system_builder.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
 
@@ -65,7 +66,7 @@ int main()
 
   for (const Workload wl : {Workload::Graphite, Workload::NiO64})
   {
-    const WorkloadInfo& info = workload_info(wl);
+    const SystemSpec info = workload_spec(wl);
     const bool big = wl == Workload::NiO64;
     const int walkers = big ? 2 : 4;
     const int reps = bench::long_mode() ? 10 : 3;

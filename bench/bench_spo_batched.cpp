@@ -65,7 +65,7 @@ double best_seconds(Fn&& fn)
 template<typename TR>
 void run_precision(const char* variant, bench::BenchJsonWriter& json)
 {
-  const WorkloadInfo& info = workload_info(Workload::NiO32);
+  const SystemSpec info = workload_spec(Workload::NiO32);
   MultiBspline3D<TR> spline;
   fill_synthetic_orbitals<TR>(spline, info.grid[0], info.grid[1], info.grid[2], kNorb,
                               /*seed=*/3);

@@ -5,14 +5,13 @@
 // spline tables are DFT-derived and GB-scale; qmcxx scales the grids
 // down while preserving the size ordering (DESIGN.md substitution).
 //
-// A second table covers the spec-only systems (committed under specs/
-// with no Workload enum entry) and drives each through the engine via
-// spec_path ingestion, recording qmcxx-bench-v1 entries so spec-built
-// systems have the same perf trajectory as the enum table.
+// A second table covers the committed specs that no Workload names and
+// drives each through the engine via spec_path, recording
+// qmcxx-bench-v1 entries for them too.
 #include "bench/bench_common.h"
 #include "io/job_spec.h"
 #include "workloads/system_builder.h"
-#include "workloads/system_spec.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
 
@@ -21,51 +20,50 @@ int main()
   bench::header("Table 1: benchmark workloads and key properties",
                 "Mathuriya et al. SC'17, Table 1");
 
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"property", "Graphite", "Be-64", "NiO-32", "NiO-64"});
+  std::vector<SystemSpec> specs;
+  std::vector<std::string> head{"property"};
+  for (const PaperWorkload& row : paper_workloads)
+  {
+    specs.push_back(workload_spec(row.id));
+    head.push_back(specs.back().name);
+  }
+  std::vector<std::vector<std::string>> rows{head};
 
-  std::vector<const WorkloadInfo*> infos;
-  for (Workload w : all_workloads)
-    infos.push_back(&workload_info(w));
-
+  using S = const SystemSpec&;
+  using P = const PaperWorkload&;
   auto add_row = [&](const std::string& label, auto getter) {
     std::vector<std::string> row{label};
-    for (const auto* info : infos)
-      row.push_back(getter(*info));
+    for (std::size_t c = 0; c < specs.size(); ++c)
+      row.push_back(getter(specs[c], paper_workloads[c]));
     rows.push_back(row);
   };
 
-  add_row("N (electrons)", [](const WorkloadInfo& i) { return std::to_string(i.num_electrons); });
-  add_row("Nion", [](const WorkloadInfo& i) { return std::to_string(i.num_ions); });
-  add_row("Nion/unit cell",
-          [](const WorkloadInfo& i) { return std::to_string(i.ions_per_unit_cell); });
-  add_row("# of unit cells",
-          [](const WorkloadInfo& i) { return std::to_string(i.num_unit_cells); });
-  add_row("Ion types (Z*)", [](const WorkloadInfo& i) { return i.ion_types; });
-  add_row("# unique SPOs (paper)",
-          [](const WorkloadInfo& i) { return std::to_string(i.paper_unique_spos); });
-  add_row("FFT grid (paper)", [](const WorkloadInfo& i) { return i.paper_fft_grid; });
-  add_row("B-spline GB (paper)",
-          [](const WorkloadInfo& i) { return fmt(i.paper_spline_gb, 1); });
+  add_row("N (electrons)", [](S s, P) { return std::to_string(s.num_electrons); });
+  add_row("Nion", [](S s, P) { return std::to_string(s.ion_positions.size()); });
+  add_row("Nion/unit cell", [](S, P p) { return std::to_string(p.ions_per_unit_cell); });
+  add_row("# of unit cells", [](S, P p) { return std::to_string(p.num_unit_cells); });
+  add_row("Ion types (Z*)", [](S, P p) { return std::string(p.ion_types); });
+  add_row("# unique SPOs (paper)", [](S, P p) { return std::to_string(p.unique_spos); });
+  add_row("FFT grid (paper)", [](S, P p) { return std::string(p.fft_grid); });
+  add_row("B-spline GB (paper)", [](S, P p) { return fmt(p.spline_gb, 1); });
   add_row("pseudopotential",
-          [](const WorkloadInfo& i) { return std::string(i.has_pseudopotential ? "yes" : "no"); });
-  add_row("qmcxx grid", [](const WorkloadInfo& i) {
-    return std::to_string(i.grid[0]) + "x" + std::to_string(i.grid[1]) + "x" +
-        std::to_string(i.grid[2]);
+          [](S s, P) { return std::string(s.has_pseudopotential ? "yes" : "no"); });
+  add_row("qmcxx grid", [](S s, P) {
+    return std::to_string(s.grid[0]) + "x" + std::to_string(s.grid[1]) + "x" +
+        std::to_string(s.grid[2]);
   });
-  add_row("qmcxx orbitals/spin",
-          [](const WorkloadInfo& i) { return std::to_string(i.num_orbitals); });
+  add_row("qmcxx orbitals/spin", [](S s, P) { return std::to_string(s.num_orbitals); });
 
   // Measured spline-table bytes (SoA float backend, as in Current).
   std::vector<std::string> spline_row{"qmcxx spline table"};
   std::vector<std::string> wigner_row{"Wigner-Seitz radius"};
-  for (const auto* info : infos)
+  for (const SystemSpec& spec : specs)
   {
     BuildOptions opt;
     opt.with_hamiltonian = false;
-    auto sys = build_system<float>(*info, opt);
+    auto sys = build_system<float>(spec, opt);
     spline_row.push_back(format_bytes(sys.spos->table_bytes()));
-    wigner_row.push_back(fmt(info->lattice.wigner_seitz_radius(), 2) + " a0");
+    wigner_row.push_back(fmt(spec.lattice.wigner_seitz_radius(), 2) + " a0");
   }
   rows.push_back(spline_row);
   rows.push_back(wigner_row);
@@ -75,7 +73,7 @@ int main()
               "uses synthetic orbitals on scaled grids with the same ordering\n"
               "(Graphite smallest, NiO-64 largest). See DESIGN.md.\n");
 
-  // ---- spec-only systems (no enum counterpart) ----------------------
+  // ---- specs no Workload names -----------------------------------------
   bench::header("Table 1b: spec-ingested systems (qmcxx-spec-v1, specs/)",
                 "spec-driven workload ingestion (no paper counterpart)");
   const std::vector<std::string> spec_files = {"graphite-32.json", "nio-48.json"};
@@ -96,10 +94,8 @@ int main()
     const EngineReport rep = run_engine(run);
     json.add_engine_record(spec.name, to_string(run.variant), rep);
 
-    int nion = 0;
-    for (int c : spec.ion_counts)
-      nion += c;
-    srows.push_back({spec.name, std::to_string(spec.num_electrons), std::to_string(nion),
+    srows.push_back({spec.name, std::to_string(spec.num_electrons),
+                     std::to_string(spec.ion_positions.size()),
                      std::to_string(spec.grid[0]) + "x" + std::to_string(spec.grid[1]) + "x" +
                          std::to_string(spec.grid[2]),
                      std::to_string(spec.num_orbitals), std::to_string(spec_content_hash(spec)),

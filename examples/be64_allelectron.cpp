@@ -23,8 +23,8 @@ int main(int argc, char** argv)
     if (!std::strcmp(argv[a], "--steps"))
       steps = std::atoi(argv[a + 1]);
 
-  const WorkloadInfo& info = workload_info(Workload::Be64);
-  std::printf("Be-64 all-electron (N = %d, no pseudopotential)\n", info.num_electrons);
+  std::printf("Be-64 all-electron (N = %d, no pseudopotential)\n",
+              workload_spec(Workload::Be64).num_electrons);
 
   for (EngineVariant v : {EngineVariant::Ref, EngineVariant::Current})
   {

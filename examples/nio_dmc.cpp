@@ -72,9 +72,10 @@ int main(int argc, char** argv)
   spec.driver.stop_flag = &g_stop;
   std::signal(SIGINT, on_signal);
 
-  const WorkloadInfo& info = workload_info(spec.workload);
-  std::printf("%s DMC, %s engine: %d electrons, %d ions, tau = %.3f\n", info.name.c_str(),
-              to_string(spec.variant), info.num_electrons, info.num_ions, spec.driver.tau);
+  const SystemSpec sys = workload_spec(spec.workload);
+  std::printf("%s DMC, %s engine: %d electrons, %zu ions, tau = %.3f\n", sys.name.c_str(),
+              to_string(spec.variant), sys.num_electrons, sys.ion_positions.size(),
+              spec.driver.tau);
 
   const EngineReport rep = run_engine(spec);
 

@@ -22,10 +22,14 @@
 //
 // SIGINT/SIGTERM set a cooperative stop flag: the running job
 // checkpoints at its next generation barrier, stays pending for the
-// next server start, and the process exits with code 3. Because
-// resumed chains are bitwise-exact, the streamed "generation" records
-// of an interrupted-then-resumed job are identical to an uninterrupted
-// run's (tools/ci/server_smoke.sh holds this as a regression test).
+// next server start, and the process exits with code 3. A job that
+// starts cuts its .stream back to the generations its snapshot holds
+// (none without one), so records streamed after the last checkpoint
+// of a killed server are not repeated. Because resumed chains are
+// bitwise-exact, the streamed "generation" records of an
+// interrupted-then-resumed job are identical to an uninterrupted run's
+// (tools/ci/server_smoke.sh holds this as a regression test, for a
+// SIGTERM and for a SIGKILL).
 //
 // --threads N caps each job's crowd-execution threads (a per-job
 // budget; jobs asking for more, or for the hardware default 0, are
@@ -153,6 +157,26 @@ std::string completion_record(const std::string& job, const EngineReport& rep,
       ", \"mem_budget_exceeded\": " + (exceeded ? "true" : "false") + "}";
 }
 
+/// Cut a job's stream to its first `generations` lines. QMCDriver
+/// streams generation g before it checkpoints at g + 1, so a SIGKILL
+/// between checkpoints leaves records past the snapshot that the
+/// resumed chain streams again.
+void truncate_stream(const std::string& path, std::uint64_t generations)
+{
+  if (!std::filesystem::exists(path))
+    return;
+  const std::string text = io::read_text_file(path);
+  std::size_t end = 0;
+  for (std::uint64_t g = 0; g < generations; ++g)
+  {
+    const std::size_t newline = text.find('\n', end);
+    if (newline == std::string::npos)
+      break; // a torn last line is dropped
+    end = newline + 1;
+  }
+  io::write_text_file(path, text.substr(0, end));
+}
+
 enum class JobOutcome
 {
   Completed,
@@ -187,7 +211,8 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
   spec.driver.num_threads = clamp_threads(job.driver.num_threads, opt.thread_budget);
   spec.driver.checkpoint_path = path + ".snap";
   spec.driver.stop_flag = &g_stop;
-  if (std::filesystem::exists(spec.driver.checkpoint_path))
+  const bool resume = std::filesystem::exists(spec.driver.checkpoint_path);
+  if (resume)
   {
     spec.resume_path = spec.driver.checkpoint_path;
     std::fprintf(stderr, "qmc_server: resuming %s from %s\n", name.c_str(),
@@ -196,16 +221,16 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
 
   try
   {
+    truncate_stream(path + ".stream",
+                    resume ? io::read_snapshot_file(spec.resume_path).generation : 0);
     io::JsonlWriter stream(path + ".stream");
     spec.driver.on_generation = [&](int gen, const GenerationStats& s) {
       stream.append(generation_record(name, gen, s));
     };
-    // A spec_path job's display name is the file itself; only enum jobs
-    // may consult the workload table.
-    const std::string system_name =
-        job.spec_path.empty() ? workload_info(job.workload).name : job.spec_path;
+    const std::string system =
+        job.spec_path.empty() ? workload_spec_path(job.workload) : job.spec_path;
     std::fprintf(stderr, "qmc_server: running %s (%s %s, %s, %d steps, %d walkers)\n",
-                 name.c_str(), system_name.c_str(), job.dmc ? "DMC" : "VMC",
+                 name.c_str(), system.c_str(), job.dmc ? "DMC" : "VMC",
                  to_string(job.variant), job.driver.steps, job.driver.num_walkers);
     const EngineReport rep = run_engine(spec);
     if (rep.result.interrupted)
@@ -236,7 +261,7 @@ int serve_spool(const ServerOptions& opt)
   std::filesystem::create_directories(opt.spool);
   while (true)
   {
-    const std::vector<std::string> jobs = io::list_spool_jobs(opt.spool);
+    const std::vector<std::string> jobs = io::list_json_files(opt.spool);
     for (const std::string& path : jobs)
     {
       if (g_stop.load())

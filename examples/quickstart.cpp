@@ -4,8 +4,9 @@
 //
 //   ./quickstart [--steps N] [--walkers N]
 //
-// Walks through the full public API surface: workload description ->
-// system builder -> driver -> statistics.
+// Walks through the full public API surface: system description
+// (SystemSpec, the in-code form of a specs/*.json file) -> system
+// builder -> driver -> statistics.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,14 +30,9 @@ int main(int argc, char** argv)
 
   // 1. Describe a small periodic system: 4 ions (Z* = 4) in a 7 bohr
   //    cubic cell, 16 electrons, synthetic orbitals on a 10^3 grid.
-  WorkloadInfo w;
+  SystemSpec w;
   w.name = "quickstart";
-  w.id = Workload::Graphite; // tag only
   w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
   w.has_pseudopotential = true;
   w.grid = {10, 10, 10};
   w.num_orbitals = 8;

@@ -30,16 +30,16 @@ struct EngineReport
 
 struct EngineRunSpec
 {
+  /// Paper workload whose committed spec file (workloads.h) is the
+  /// system, unless spec_path is set.
   Workload workload = Workload::NiO32;
   /// Path to a qmcxx-spec-v1 system file; when non-empty it replaces
-  /// the workload enum as the system source (the two build paths are
-  /// bitwise-identical for equal specs).
+  /// the workload's committed spec as the system source.
   std::string spec_path;
   /// Engine configuration alias. Since precision became a runtime
   /// policy, the variant contributes its layout half unconditionally
-  /// and its precision half only as the lowest-priority default: an
-  /// explicit driver.precision.precision, then a spec-file "precision"
-  /// key, override it (run_engine's resolve order).
+  /// and its precision half only as the default: an explicit
+  /// driver.precision.precision overrides it.
   EngineVariant variant = EngineVariant::Current;
   DriverConfig driver;
   bool dmc = true; ///< DMC (Alg. 1) vs VMC sampling

@@ -81,14 +81,13 @@ MachineRoofs measure_machine_roofs()
   return roofs;
 }
 
-std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const WorkloadInfo& info,
-                                           EngineVariant variant)
+std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const SystemSpec& spec,
+                                           Precision precision)
 {
-  const double n = info.num_electrons;
-  const double nion = info.num_ions;
-  const double norb = info.num_orbitals;
-  const double sz =
-      (variant == EngineVariant::Ref || variant == EngineVariant::CurrentDP) ? 8.0 : 4.0;
+  const double n = spec.num_electrons;
+  const double nion = static_cast<double>(spec.ion_positions.size());
+  const double norb = spec.num_orbitals;
+  const double sz = precision_bytes(precision);
 
   // Per-call analytic models. A "call" is one timer scope: a distance
   // row, one functor row, one spline evaluation, one inverse update.

@@ -15,7 +15,7 @@
 
 #include "config/config.h"
 #include "instrument/timer.h"
-#include "workloads/workloads.h"
+#include "workloads/system_spec.h"
 
 namespace qmcxx
 {
@@ -43,9 +43,9 @@ struct MachineRoofs
 MachineRoofs measure_machine_roofs();
 
 /// Per-kernel analytic flop/byte totals for a run of `totals` on the
-/// given workload under the given engine variant.
-std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const WorkloadInfo& info,
-                                           EngineVariant variant);
+/// given system at the given compute precision.
+std::vector<KernelRoofline> build_roofline(const KernelTotals& totals, const SystemSpec& spec,
+                                           Precision precision);
 
 } // namespace qmcxx
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -201,8 +202,11 @@ public:
     char* end = nullptr;
     errno = 0;
     const long v = std::strtol(tok.c_str(), &end, 10);
-    if (errno != 0 || end != tok.c_str() + tok.size())
+    if (end != tok.c_str() + tok.size())
       fail("expected an integer, got '" + tok + "'");
+    if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+      fail("integer " + tok + " is outside the int range");
     return static_cast<int>(v);
   }
 
@@ -373,16 +377,18 @@ void parse_driver_object(Parser& p, DriverConfig& d)
 Workload workload_from_name(const std::string& s)
 {
   const std::string n = lower(s);
-  if (n == "graphite")
-    return Workload::Graphite;
-  if (n == "be-64" || n == "be64")
-    return Workload::Be64;
-  if (n == "nio-32" || n == "nio32")
-    return Workload::NiO32;
-  if (n == "nio-64" || n == "nio64")
-    return Workload::NiO64;
-  throw std::runtime_error("unknown workload '" + s +
-                           "' (expected Graphite, Be-64, NiO-32 or NiO-64)");
+  std::string known;
+  for (const PaperWorkload& w : paper_workloads)
+  {
+    const std::string stem = std::filesystem::path(w.spec_file).stem().string();
+    if (n == lower(stem))
+      return w.id;
+    const std::string name = workload_spec(w.id).name;
+    if (n == lower(name))
+      return w.id;
+    known += (known.empty() ? "" : ", ") + name + " or " + stem;
+  }
+  throw std::runtime_error("unknown workload '" + s + "' (expected " + known + ")");
 }
 
 EngineVariant variant_from_name(const std::string& s)
@@ -497,8 +503,6 @@ SystemSpec parse_system_spec(const std::string& json_text, const std::string& or
         parse_jastrow_object(p, spec);
       else if (key == "delay_rank")
         spec.delay_rank = p.parse_int();
-      else if (key == "precision")
-        spec.precision_bytes = precision_bytes(precision_from_name(p.parse_string()));
       else if (key == "pseudopotential")
         spec.has_pseudopotential = p.parse_bool();
       else if (key == "species")
@@ -590,10 +594,6 @@ std::string serialize_system_spec(const SystemSpec& spec)
      << " },\n";
   os << "  \"jastrow\": { \"knots\": " << spec.jastrow_knots << " },\n";
   os << "  \"delay_rank\": " << spec.delay_rank << ",\n";
-  // Optional key, written only when set: committed precision-less specs
-  // stay byte-identical and still round-trip bitwise.
-  if (spec.precision_bytes != 0)
-    os << "  \"precision\": \"" << (spec.precision_bytes == 8 ? "double" : "single") << "\",\n";
   os << "  \"pseudopotential\": " << (spec.has_pseudopotential ? "true" : "false") << ",\n";
   os << "  \"species\": [\n";
   for (std::size_t s = 0; s < spec.species.size(); ++s)
@@ -616,7 +616,7 @@ std::string serialize_system_spec(const SystemSpec& spec)
   return os.str();
 }
 
-std::vector<std::string> list_spool_jobs(const std::string& dir)
+std::vector<std::string> list_json_files(const std::string& dir)
 {
   namespace fs = std::filesystem;
   std::vector<std::string> jobs;

@@ -1,6 +1,7 @@
-// Job requests for the qmc_server example: a workload name (or a
-// spec_path to a qmcxx-spec-v1 system file), an engine variant, and
-// DriverConfig knobs, parsed from a small JSON object.
+// Job requests for the qmc_server example: a spec_path to a
+// qmcxx-spec-v1 system file (or a paper workload's name, which names
+// one of the committed spec files), an engine variant, and DriverConfig
+// knobs, parsed from a small JSON object.
 //
 //   { "workload": "Graphite", "variant": "current", "dmc": false,
 //     "driver": { "steps": 64, "num_walkers": 16, "seed": 42,
@@ -10,7 +11,9 @@
 // The parser is a minimal recursive-descent JSON reader (objects,
 // arrays, strings, numbers, booleans) -- deliberately no external
 // dependency. Unknown keys are rejected with an error naming the key,
-// so a typo'd knob fails the job instead of silently running defaults.
+// so a typo'd knob fails the job instead of silently running defaults;
+// an integer outside the int range is an error too, never a wrapped
+// value.
 //
 // The same reader parses system ingestion files ("qmcxx-spec-v1",
 // workloads/system_spec.h):
@@ -29,8 +32,7 @@
 //     "ion_positions": [[0,0,0], ...] }
 //
 // Doubles are written with 17 significant digits, so
-// parse_system_spec(serialize_system_spec(s)) == s bitwise and a
-// committed spec file reproduces its enum-built system exactly.
+// parse_system_spec(serialize_system_spec(s)) == s bitwise.
 #ifndef QMCXX_IO_JOB_SPEC_H
 #define QMCXX_IO_JOB_SPEC_H
 
@@ -50,7 +52,8 @@ struct JobSpec
   std::string name;        ///< job id (spool file stem or "stdin-N")
   Workload workload = Workload::Graphite;
   /// Path to a qmcxx-spec-v1 system file; when set it replaces the
-  /// workload enum ("workload" and "spec_path" are mutually exclusive).
+  /// workload's committed spec ("workload" and "spec_path" are
+  /// mutually exclusive).
   std::string spec_path;
   EngineVariant variant = EngineVariant::Current;
   bool dmc = false;
@@ -64,26 +67,27 @@ struct JobSpec
   DriverConfig driver;
 };
 
-/// "Graphite"/"Be-64"/"NiO-32"/"NiO-64" (the paper's Table 1 names) or
-/// the aliases graphite/be64/nio32/nio64. Throws on anything else.
+/// The paper workload whose committed spec has `s` as its "name" or its
+/// file stem, case-insensitive ("NiO-32" or "nio32"). Throws on anything
+/// else.
 [[nodiscard]] Workload workload_from_name(const std::string& s);
 
 /// "ref" / "refmp" / "current" / "currentdp" (case-insensitive, also
 /// accepts the display names "Ref+MP" etc). Throws on anything else.
 [[nodiscard]] EngineVariant variant_from_name(const std::string& s);
 
-/// "single" / "double" (case-insensitive), the job-spec and
-/// qmcxx-spec-v1 "precision" values. Throws on anything else.
+/// "single" / "double" (case-insensitive), the job-spec "precision"
+/// values. Throws on anything else.
 [[nodiscard]] Precision precision_from_name(const std::string& s);
 
 /// Parse one job-request JSON object. Throws std::runtime_error with a
 /// position/key-naming message on malformed input or unknown keys.
 [[nodiscard]] JobSpec parse_job_spec(const std::string& json_text, const std::string& job_name);
 
-/// Sorted *.json paths in a spool directory (skips .done/.failed/...;
-/// sorted so submission order is deterministic). Throws if the
-/// directory cannot be read.
-[[nodiscard]] std::vector<std::string> list_spool_jobs(const std::string& dir);
+/// Sorted *.json paths in a directory: a server spool (skips
+/// .done/.failed/...; sorted so submission order is deterministic) or
+/// specs/. Throws if the directory cannot be read.
+[[nodiscard]] std::vector<std::string> list_json_files(const std::string& dir);
 
 /// Whole-file slurp. Throws std::runtime_error if unreadable.
 [[nodiscard]] std::string read_text_file(const std::string& path);

@@ -3,10 +3,7 @@
 //
 // This is the single place where the paper's three configurations are
 // wired: layout (AoS vs SoA classes) and precision (the TR parameter)
-// are chosen here, everything downstream is agnostic. The SystemSpec
-// overload is canonical; the WorkloadInfo overload forwards through
-// to_spec(), so enum-built and spec-built systems are the same code
-// path (and bitwise-identical).
+// are chosen here, everything downstream is agnostic.
 #ifndef QMCXX_WORKLOADS_SYSTEM_BUILDER_H
 #define QMCXX_WORKLOADS_SYSTEM_BUILDER_H
 
@@ -27,7 +24,6 @@
 #include "wavefunction/spo_set.h"
 #include "wavefunction/trial_wavefunction.h"
 #include "workloads/system_spec.h"
-#include "workloads/workloads.h"
 
 namespace qmcxx
 {
@@ -209,14 +205,6 @@ QMCSystem<TR> build_system(const SystemSpec& spec, const BuildOptions& opt)
     }
   }
   return sys;
-}
-
-/// Enum-workload convenience: forwards through to_spec(), so the two
-/// entry points share one build path and cannot drift apart.
-template<typename TR>
-QMCSystem<TR> build_system(const WorkloadInfo& info, const BuildOptions& opt)
-{
-  return build_system<TR>(to_spec(info), opt);
 }
 
 } // namespace qmcxx

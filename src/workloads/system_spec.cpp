@@ -5,21 +5,6 @@
 namespace qmcxx
 {
 
-SystemSpec to_spec(const WorkloadInfo& info)
-{
-  SystemSpec spec;
-  spec.name = info.name;
-  spec.num_electrons = info.num_electrons;
-  spec.grid = info.grid;
-  spec.num_orbitals = info.num_orbitals;
-  spec.has_pseudopotential = info.has_pseudopotential;
-  spec.species = info.species;
-  spec.ion_counts = info.ion_counts;
-  spec.lattice = info.lattice;
-  spec.ion_positions = info.ion_positions;
-  return spec;
-}
-
 namespace
 {
 
@@ -58,10 +43,6 @@ std::uint64_t spec_content_hash(const SystemSpec& spec)
   f.mix_i64(spec.num_orbitals);
   f.mix_i64(spec.jastrow_knots);
   f.mix_i64(spec.delay_rank);
-  // Only mixed when set: specs without a precision default keep their
-  // pre-existing hashes (and old snapshots their fingerprints).
-  if (spec.precision_bytes != 0)
-    f.mix_i64(spec.precision_bytes);
   f.mix_i64(spec.has_pseudopotential ? 1 : 0);
   for (const auto& row : spec.lattice.rows())
     for (unsigned d = 0; d < 3; ++d)
@@ -111,8 +92,7 @@ bool operator==(const SystemSpec& a, const SystemSpec& b)
 {
   if (a.name != b.name || a.num_electrons != b.num_electrons || a.grid != b.grid ||
       a.num_orbitals != b.num_orbitals || a.jastrow_knots != b.jastrow_knots ||
-      a.delay_rank != b.delay_rank || a.precision_bytes != b.precision_bytes ||
-      a.has_pseudopotential != b.has_pseudopotential ||
+      a.delay_rank != b.delay_rank || a.has_pseudopotential != b.has_pseudopotential ||
       a.species != b.species || a.ion_counts != b.ion_counts ||
       a.ion_positions.size() != b.ion_positions.size())
     return false;

@@ -1,156 +1,19 @@
 #include "workloads/workloads.h"
 
-#include <cmath>
-#include <map>
-#include <stdexcept>
+#include "io/job_spec.h"
 
 namespace qmcxx
 {
-namespace
-{
 
-using Pos = TinyVector<double, 3>;
-
-/// Tile fractional basis positions over an n1 x n2 x n3 supercell.
-std::vector<Pos> tile_fractional(const std::vector<Pos>& basis, int n1, int n2, int n3,
-                                 const Lattice& supercell)
+std::string workload_spec_path(Workload w)
 {
-  std::vector<Pos> out;
-  for (int i = 0; i < n1; ++i)
-    for (int j = 0; j < n2; ++j)
-      for (int k = 0; k < n3; ++k)
-        for (const auto& f : basis)
-          out.push_back(supercell.to_cart(Pos{(f[0] + i) / n1, (f[1] + j) / n2, (f[2] + k) / n3}));
-  return out;
+  return std::string(QMCXX_SPECS_DIR) + "/" + paper_workload(w).spec_file;
 }
 
-WorkloadInfo make_graphite()
+SystemSpec workload_spec(Workload w)
 {
-  WorkloadInfo w;
-  w.name = "Graphite";
-  w.id = Workload::Graphite;
-  w.num_electrons = 256;
-  w.num_ions = 64;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 16;
-  w.ion_types = "C(4)";
-  w.paper_unique_spos = 80;
-  w.paper_fft_grid = "28x28x80";
-  w.paper_spline_gb = 0.1;
-  w.has_pseudopotential = true;
-  w.grid = {16, 16, 40};
-  w.num_orbitals = w.num_electrons / 2;
-  w.species = {{"C", 4.0, -0.35, 1.3, 0.8, 0.6, 0.8, 1.7}};
-  w.ion_counts = {64};
-  // AB-stacked graphite: a = 4.65 bohr, c = 12.67 bohr, 4-atom basis,
-  // 2 x 2 x 4 supercell.
-  const double a = 4.65, c = 12.67;
-  w.lattice = Lattice::hexagonal(2 * a, 4 * c);
-  const std::vector<Pos> basis = {{0, 0, 0},
-                                  {1.0 / 3, 2.0 / 3, 0},
-                                  {0, 0, 0.5},
-                                  {2.0 / 3, 1.0 / 3, 0.5}};
-  w.ion_positions = tile_fractional(basis, 2, 2, 4, w.lattice);
-  return w;
-}
-
-WorkloadInfo make_be64()
-{
-  WorkloadInfo w;
-  w.name = "Be-64";
-  w.id = Workload::Be64;
-  w.num_electrons = 256;
-  w.num_ions = 64;
-  w.ions_per_unit_cell = 2;
-  w.num_unit_cells = 32;
-  w.ion_types = "Be(4)";
-  w.paper_unique_spos = 81;
-  w.paper_fft_grid = "84x84x144";
-  w.paper_spline_gb = 1.4;
-  w.has_pseudopotential = false; // all-electron (paper Sec. 4.1)
-  w.grid = {28, 28, 48};
-  w.num_orbitals = w.num_electrons / 2;
-  w.species = {{"Be", 4.0, -0.30, 1.2, 0.45, 0.0, 1.0, 1.0}};
-  w.ion_counts = {64};
-  // hcp Be: a = 4.32 bohr, c = 6.78 bohr, 2-atom basis, 4 x 4 x 2 cells.
-  const double a = 4.32, c = 6.78;
-  w.lattice = Lattice::hexagonal(4 * a, 2 * c);
-  const std::vector<Pos> basis = {{0, 0, 0}, {1.0 / 3, 2.0 / 3, 0.5}};
-  w.ion_positions = tile_fractional(basis, 4, 4, 2, w.lattice);
-  return w;
-}
-
-/// Rocksalt NiO supercell: n1 x n2 x n3 conventional 8-ion cells with
-/// lattice constant a0 = 7.89 bohr. Returns positions grouped Ni-first.
-void fill_nio(WorkloadInfo& w, int n1, int n2, int n3)
-{
-  const double a0 = 7.89;
-  w.lattice = Lattice({Pos{n1 * a0, 0, 0}, Pos{0, n2 * a0, 0}, Pos{0, 0, n3 * a0}});
-  const std::vector<Pos> ni_basis = {{0, 0, 0}, {0.5, 0.5, 0}, {0.5, 0, 0.5}, {0, 0.5, 0.5}};
-  const std::vector<Pos> o_basis = {{0.5, 0, 0}, {0, 0.5, 0}, {0, 0, 0.5}, {0.5, 0.5, 0.5}};
-  auto ni = tile_fractional(ni_basis, n1, n2, n3, w.lattice);
-  auto ox = tile_fractional(o_basis, n1, n2, n3, w.lattice);
-  w.ion_positions = ni;
-  w.ion_positions.insert(w.ion_positions.end(), ox.begin(), ox.end());
-  w.ion_counts = {static_cast<int>(ni.size()), static_cast<int>(ox.size())};
-  w.species = {{"Ni", 18.0, -1.2, 0.9, 0.55, 2.0, 0.9, 1.9},
-               {"O", 6.0, -0.5, 1.1, 0.70, 1.0, 0.85, 1.7}};
-}
-
-WorkloadInfo make_nio32()
-{
-  WorkloadInfo w;
-  w.name = "NiO-32";
-  w.id = Workload::NiO32;
-  w.num_electrons = 384;
-  w.num_ions = 32;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 8;
-  w.ion_types = "Ni(18), O(6)";
-  w.paper_unique_spos = 144;
-  w.paper_fft_grid = "80x80x80";
-  w.paper_spline_gb = 1.3;
-  w.has_pseudopotential = true;
-  w.grid = {28, 28, 16};
-  w.num_orbitals = w.num_electrons / 2;
-  fill_nio(w, 2, 2, 1);
-  return w;
-}
-
-WorkloadInfo make_nio64()
-{
-  WorkloadInfo w;
-  w.name = "NiO-64";
-  w.id = Workload::NiO64;
-  w.num_electrons = 768;
-  w.num_ions = 64;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 16;
-  w.ion_types = "Ni(18), O(6)";
-  w.paper_unique_spos = 240;
-  w.paper_fft_grid = "80x80x80";
-  w.paper_spline_gb = 2.1;
-  w.has_pseudopotential = true;
-  w.grid = {24, 24, 24};
-  w.num_orbitals = w.num_electrons / 2;
-  fill_nio(w, 2, 2, 2);
-  return w;
-}
-
-} // namespace
-
-const WorkloadInfo& workload_info(Workload w)
-{
-  static const std::map<Workload, WorkloadInfo> infos = {
-      {Workload::Graphite, make_graphite()},
-      {Workload::Be64, make_be64()},
-      {Workload::NiO32, make_nio32()},
-      {Workload::NiO64, make_nio64()},
-  };
-  auto it = infos.find(w);
-  if (it == infos.end())
-    throw std::invalid_argument("unknown workload");
-  return it->second;
+  const std::string path = workload_spec_path(w);
+  return io::parse_system_spec(io::read_text_file(path), path);
 }
 
 } // namespace qmcxx

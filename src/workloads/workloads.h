@@ -1,20 +1,22 @@
-// The four benchmark workloads of the paper (Table 1).
+// The four benchmark workloads of the paper (Table 1), as names for
+// committed spec files.
 //
-// Geometries are the real crystal structures (graphite and hcp Be in
-// hexagonal cells, NiO rocksalt supercells in orthorhombic cells) with
-// the paper's electron and ion counts. The DFT-derived orbitals and
-// optimized Jastrow/pseudopotential parameters are replaced by synthetic
-// equivalents with the same counts, cutoffs and code paths (DESIGN.md
-// substitution table); spline grids are scaled so the tables keep the
-// paper's size ordering while fitting in laptop memory.
+// Each Workload names one specs/*.json file (specs/README.md gives the
+// crystal structure behind each); that file is the whole description of
+// the system qmcxx builds. Beside it, paper_workloads keeps the Table 1
+// columns that describe only the paper's own DFT-orbital runs. The
+// orbitals and the Jastrow/pseudopotential parameters are synthetic
+// stand-ins with the paper's counts, cutoffs and code paths; spline
+// grids are scaled so the tables keep the paper's size ordering while
+// fitting in laptop memory.
 #ifndef QMCXX_WORKLOADS_WORKLOADS_H
 #define QMCXX_WORKLOADS_WORKLOADS_H
 
 #include <array>
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "particle/lattice.h"
+#include "workloads/system_spec.h"
 
 namespace qmcxx
 {
@@ -27,47 +29,39 @@ enum class Workload
   NiO64
 };
 
-inline constexpr std::array<Workload, 4> all_workloads = {Workload::Graphite, Workload::Be64,
-                                                          Workload::NiO32, Workload::NiO64};
-
-struct IonSpecies
+/// One row of the paper's Table 1: the workload's spec file and the
+/// columns no spec holds.
+struct PaperWorkload
 {
-  std::string name;
-  double charge;     ///< valence charge Z* (paper Table 1)
-  double j1_depth;   ///< one-body Jastrow well depth (hartree)
-  double j1_width;   ///< one-body Jastrow width (bohr)
-  double r_core;     ///< local-pseudopotential core radius (bohr)
-  double nl_amplitude; ///< non-local channel strength (0 = none)
-  double nl_width;
-  double nl_rcut;
-};
-
-struct WorkloadInfo
-{
-  std::string name;
   Workload id;
-  // ---- paper Table 1 metadata ----
-  int num_electrons;       ///< N
-  int num_ions;            ///< Nion
+  const char* spec_file;  ///< file name in QMCXX_SPECS_DIR
   int ions_per_unit_cell;
   int num_unit_cells;
-  std::string ion_types;   ///< e.g. "Ni(18), O(6)"
-  int paper_unique_spos;
-  std::string paper_fft_grid;
-  double paper_spline_gb;
-  bool has_pseudopotential;
-  // ---- qmcxx realization ----
-  std::array<int, 3> grid; ///< our B-spline grid
-  int num_orbitals;        ///< N/2 orbitals per spin determinant
-  std::vector<IonSpecies> species;
-  std::vector<int> ion_counts; ///< per species
-  Lattice lattice;
-  /// Ion positions (bohr), grouped by species to match ion_counts.
-  std::vector<TinyVector<double, 3>> ion_positions;
+  const char* ion_types;  ///< e.g. "Ni(18), O(6)"
+  int unique_spos;
+  const char* fft_grid;
+  double spline_gb;
 };
 
-/// Full description of one benchmark workload.
-const WorkloadInfo& workload_info(Workload w);
+/// Table 1, in Workload order.
+inline constexpr std::array<PaperWorkload, 4> paper_workloads = {{
+    {Workload::Graphite, "graphite.json", 4, 16, "C(4)", 80, "28x28x80", 0.1},
+    {Workload::Be64, "be64.json", 2, 32, "Be(4)", 81, "84x84x144", 1.4},
+    {Workload::NiO32, "nio32.json", 4, 8, "Ni(18), O(6)", 144, "80x80x80", 1.3},
+    {Workload::NiO64, "nio64.json", 4, 16, "Ni(18), O(6)", 240, "80x80x80", 2.1},
+}};
+
+inline const PaperWorkload& paper_workload(Workload w)
+{
+  return paper_workloads[static_cast<std::size_t>(w)];
+}
+
+/// QMCXX_SPECS_DIR/<spec_file> of the workload.
+[[nodiscard]] std::string workload_spec_path(Workload w);
+
+/// The workload's committed spec, parsed. Throws std::runtime_error if
+/// the file is missing or malformed.
+[[nodiscard]] SystemSpec workload_spec(Workload w);
 
 } // namespace qmcxx
 

@@ -9,37 +9,15 @@
 
 #include "drivers/crowd.h"
 #include "drivers/qmc_drivers.h"
+#include "test_utils.h"
 #include "workloads/system_builder.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
-
-/// A miniature workload (16 electrons, 4 ions) for fast crowd tests.
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
-}
 
 DriverConfig crowd_config(int crowd_size, int steps = 4, int walkers = 4)
 {
@@ -55,10 +33,10 @@ DriverConfig crowd_config(int crowd_size, int steps = 4, int walkers = 4)
 }
 
 template<typename TR>
-RunResult run_workload(const WorkloadInfo& info, const DriverConfig& cfg, bool dmc)
+RunResult run_workload(const SystemSpec& spec, const DriverConfig& cfg, bool dmc)
 {
   BuildOptions opt;
-  auto sys = build_system<TR>(info, opt);
+  auto sys = build_system<TR>(spec, opt);
   QMCDriver<TR> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   return dmc ? driver.run_dmc() : driver.run_vmc();
@@ -89,25 +67,6 @@ std::vector<std::unique_ptr<Walker>> make_registered_walkers(QMCSystem<TR>& sys,
   return walkers;
 }
 
-/// Bitwise identity of two chains: every per-generation statistic,
-/// including the branching-sensitive ones, compared with exact ==.
-void expect_traces_bitwise(const RunResult& a, const RunResult& b)
-{
-  ASSERT_EQ(a.generations.size(), b.generations.size());
-  for (std::size_t g = 0; g < a.generations.size(); ++g)
-  {
-    EXPECT_EQ(a.generations[g].energy, b.generations[g].energy) << "generation " << g;
-    EXPECT_EQ(a.generations[g].variance, b.generations[g].variance) << "generation " << g;
-    EXPECT_EQ(a.generations[g].weight, b.generations[g].weight) << "generation " << g;
-    EXPECT_EQ(a.generations[g].num_walkers, b.generations[g].num_walkers) << "generation " << g;
-    EXPECT_EQ(a.generations[g].acceptance, b.generations[g].acceptance) << "generation " << g;
-    EXPECT_EQ(a.generations[g].trial_energy, b.generations[g].trial_energy)
-        << "generation " << g;
-  }
-  EXPECT_EQ(a.mean_energy, b.mean_energy);
-  EXPECT_EQ(a.mean_variance, b.mean_variance);
-}
-
 void expect_nonnegative_variance(const RunResult& r)
 {
   for (std::size_t g = 0; g < r.generations.size(); ++g)
@@ -120,38 +79,38 @@ TEST(CrowdParity, TinyVmcIdenticalAcrossCrowdSizes)
 {
   // Per-walker RNG streams are private, so every crowd size must replay
   // exactly the same Markov chain.
-  const WorkloadInfo info = tiny_workload();
-  const RunResult crowd1 = run_workload<double>(info, crowd_config(1), /*dmc=*/false);
-  const RunResult crowd2 = run_workload<double>(info, crowd_config(2), /*dmc=*/false);
-  const RunResult crowd4 = run_workload<double>(info, crowd_config(4), /*dmc=*/false);
-  expect_traces_bitwise(crowd1, crowd2);
-  expect_traces_bitwise(crowd1, crowd4);
+  const SystemSpec spec = tiny_spec();
+  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1), /*dmc=*/false);
+  const RunResult crowd2 = run_workload<double>(spec, crowd_config(2), /*dmc=*/false);
+  const RunResult crowd4 = run_workload<double>(spec, crowd_config(4), /*dmc=*/false);
+  expect_chains_bitwise(crowd1, crowd2);
+  expect_chains_bitwise(crowd1, crowd4);
 }
 
 TEST(CrowdParity, GraphiteVmcBitwiseAcrossCrowdSizes)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
-  const RunResult crowd1 = run_workload<double>(info, crowd_config(1, /*steps=*/2), false);
-  const RunResult crowd4 = run_workload<double>(info, crowd_config(4, /*steps=*/2), false);
-  expect_traces_bitwise(crowd1, crowd4);
+  const SystemSpec spec = workload_spec(Workload::Graphite);
+  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1, /*steps=*/2), false);
+  const RunResult crowd4 = run_workload<double>(spec, crowd_config(4, /*steps=*/2), false);
+  expect_chains_bitwise(crowd1, crowd4);
 }
 
 TEST(CrowdParity, GraphiteDmcBitwiseAcrossCrowdSizes)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
-  const RunResult crowd1 = run_workload<double>(info, crowd_config(1, /*steps=*/2), true);
-  const RunResult crowd4 = run_workload<double>(info, crowd_config(4, /*steps=*/2), true);
-  expect_traces_bitwise(crowd1, crowd4);
+  const SystemSpec spec = workload_spec(Workload::Graphite);
+  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1, /*steps=*/2), true);
+  const RunResult crowd4 = run_workload<double>(spec, crowd_config(4, /*steps=*/2), true);
+  expect_chains_bitwise(crowd1, crowd4);
 }
 
 TEST(CrowdParity, PartialCrowdsAndOddPopulations)
 {
   // crowd_size that does not divide the population exercises the
   // partial-slice acquire.
-  const WorkloadInfo info = tiny_workload();
-  const RunResult crowd1 = run_workload<double>(info, crowd_config(1, 3, 5), false);
-  const RunResult crowd3 = run_workload<double>(info, crowd_config(3, 3, 5), false);
-  expect_traces_bitwise(crowd1, crowd3);
+  const SystemSpec spec = tiny_spec();
+  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1, 3, 5), false);
+  const RunResult crowd3 = run_workload<double>(spec, crowd_config(3, 3, 5), false);
+  expect_chains_bitwise(crowd1, crowd3);
 }
 
 TEST(CrowdBuffer, RoundTripBitExactInsideCrowd)
@@ -159,9 +118,9 @@ TEST(CrowdBuffer, RoundTripBitExactInsideCrowd)
   // register_data -> update_buffer -> copy_from_buffer -> update_buffer
   // must reproduce the identical byte stream for every walker of a
   // crowd: the buffer protocol may not lose or reorder component state.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec spec = tiny_spec();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(spec, opt);
   const int nw = 4;
   auto walkers = make_registered_walkers(sys, nw, 99);
   std::vector<RandomGenerator> rngs;
@@ -188,10 +147,10 @@ TEST(CrowdKernels, BatchedRatioGradMatchesScalar)
 {
   // The genuinely batched determinant/SPO path must agree with the
   // scalar per-walker loop it replaces, walker by walker.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec spec = tiny_spec();
   BuildOptions opt;
-  auto sys_a = build_system<double>(info, opt);
-  auto sys_b = build_system<double>(info, opt);
+  auto sys_a = build_system<double>(spec, opt);
+  auto sys_b = build_system<double>(spec, opt);
   const int nw = 3;
   auto walkers_a = make_registered_walkers(sys_a, nw, 7);
   auto walkers_b = make_registered_walkers(sys_b, nw, 7);
@@ -248,9 +207,9 @@ TEST(CrowdKernels, RatioGradKeepsWorkspaceSizedToCapacity)
   // The crowd's ratios/grads are capacity-sized workspace: a partial
   // slice must not shrink them, or a later, fuller slice (DMC population
   // growth) indexes grads[iw] past size().
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec spec = tiny_spec();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(spec, opt);
   auto walkers = make_registered_walkers(sys, 2, 11);
   std::vector<RandomGenerator> rngs{RandomGenerator(1), RandomGenerator(2)};
   Crowd<double> crowd(*sys.elec, *sys.twf, nullptr, /*capacity=*/4);
@@ -270,9 +229,9 @@ TEST(CrowdKernels, RatioGradKeepsWorkspaceSizedToCapacity)
 
 TEST(CrowdResources, PerComponentResourcesAreAllocated)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec spec = tiny_spec();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(spec, opt);
   MWResourceSet res = sys.twf->make_mw_resources(4);
   ASSERT_EQ(static_cast<int>(res.per_component.size()), sys.twf->num_components());
   EXPECT_EQ(res.num_walkers(), 4);
@@ -294,29 +253,29 @@ TEST(CrowdResources, PerComponentResourcesAreAllocated)
 
 TEST(ThreadParity, TinyVmcBitwiseIdenticalAcrossThreadCounts)
 {
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec spec = tiny_spec();
   DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/4, /*walkers=*/5);
-  const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/false);
+  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/false);
   expect_nonnegative_variance(serial);
   for (int nthreads : {2, 4})
   {
     cfg.num_threads = nthreads;
-    const RunResult threaded = run_workload<double>(info, cfg, /*dmc=*/false);
-    expect_traces_bitwise(serial, threaded);
+    const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/false);
+    expect_chains_bitwise(serial, threaded);
   }
 }
 
 TEST(ThreadParity, GraphiteVmcBitwiseIdenticalAcrossThreadCounts)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec spec = workload_spec(Workload::Graphite);
   DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/2, /*walkers=*/6);
-  const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/false);
+  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/false);
   expect_nonnegative_variance(serial);
   for (int nthreads : {2, 4})
   {
     cfg.num_threads = nthreads;
-    const RunResult threaded = run_workload<double>(info, cfg, /*dmc=*/false);
-    expect_traces_bitwise(serial, threaded);
+    const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/false);
+    expect_chains_bitwise(serial, threaded);
   }
 }
 
@@ -326,15 +285,15 @@ TEST(ThreadParity, GraphiteDmcBitwiseIdenticalAcrossThreadCounts)
   // a nondeterministic population reduction would change trial_energy
   // and fork the whole subsequent chain, so this is the sharpest
   // thread-count parity check in the suite.
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec spec = workload_spec(Workload::Graphite);
   DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/2, /*walkers=*/6);
-  const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/true);
+  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/true);
   expect_nonnegative_variance(serial);
   for (int nthreads : {2, 4})
   {
     cfg.num_threads = nthreads;
-    const RunResult threaded = run_workload<double>(info, cfg, /*dmc=*/true);
-    expect_traces_bitwise(serial, threaded);
+    const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/true);
+    expect_chains_bitwise(serial, threaded);
   }
 }
 
@@ -342,10 +301,10 @@ TEST(ThreadParity, ThreadsComposeWithSingleWalkerCrowds)
 {
   // crowd_size == 1 threads over walkers one crowd each; it must agree
   // bitwise with its own serial run too.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec spec = tiny_spec();
   DriverConfig cfg = crowd_config(/*crowd_size=*/1, /*steps=*/3, /*walkers=*/4);
-  const RunResult serial = run_workload<double>(info, cfg, /*dmc=*/true);
+  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/true);
   cfg.num_threads = 4;
-  const RunResult threaded = run_workload<double>(info, cfg, /*dmc=*/true);
-  expect_traces_bitwise(serial, threaded);
+  const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/true);
+  expect_chains_bitwise(serial, threaded);
 }

@@ -115,30 +115,6 @@ struct ProbeDelayedDet : DiracDeterminantDelayed<double>
 
 // ---- driver-level harness (mirrors tests/test_crowd.cpp) --------------
 
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
-}
-
 DriverConfig delayed_config(int delay_rank, int crowd_size, int steps = 4, int walkers = 4)
 {
   DriverConfig cfg;
@@ -153,11 +129,11 @@ DriverConfig delayed_config(int delay_rank, int crowd_size, int steps = 4, int w
   return cfg;
 }
 
-RunResult run_delayed(const WorkloadInfo& info, const DriverConfig& cfg, bool dmc)
+RunResult run_delayed(const SystemSpec& system, const DriverConfig& cfg, bool dmc)
 {
   BuildOptions opt;
   opt.delay_rank = cfg.delay_rank;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(system, opt);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   return dmc ? driver.run_dmc() : driver.run_vmc();
@@ -176,23 +152,6 @@ void expect_traces_match(const RunResult& a, const RunResult& b, double rel_tol)
         << "generation " << g;
   }
   EXPECT_NEAR(a.mean_energy, b.mean_energy, rel_tol * std::abs(a.mean_energy) + rel_tol);
-}
-
-void expect_traces_bitwise(const RunResult& a, const RunResult& b)
-{
-  ASSERT_EQ(a.generations.size(), b.generations.size());
-  for (std::size_t g = 0; g < a.generations.size(); ++g)
-  {
-    EXPECT_EQ(a.generations[g].energy, b.generations[g].energy) << "generation " << g;
-    EXPECT_EQ(a.generations[g].variance, b.generations[g].variance) << "generation " << g;
-    EXPECT_EQ(a.generations[g].weight, b.generations[g].weight) << "generation " << g;
-    EXPECT_EQ(a.generations[g].num_walkers, b.generations[g].num_walkers) << "generation " << g;
-    EXPECT_EQ(a.generations[g].acceptance, b.generations[g].acceptance) << "generation " << g;
-    EXPECT_EQ(a.generations[g].trial_energy, b.generations[g].trial_energy)
-        << "generation " << g;
-  }
-  EXPECT_EQ(a.mean_energy, b.mean_energy);
-  EXPECT_EQ(a.mean_variance, b.mean_variance);
 }
 
 } // namespace
@@ -427,28 +386,28 @@ TEST(DegenerateRatioGuard, DelayedAcceptRecoversAndClearsWindow)
 
 TEST(DelayedDriverParity, GraphiteVmcDelayRankOneBitwiseMatchesPlain)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec graphite = workload_spec(Workload::Graphite);
   const DriverConfig cfg = delayed_config(/*delay_rank=*/1, /*crowd=*/2, /*steps=*/2, 4);
   BuildOptions plain; // default build: plain DiracDeterminant
-  auto sys = build_system<double>(info, plain);
+  auto sys = build_system<double>(graphite, plain);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const RunResult base = driver.run_vmc();
-  const RunResult delayed = run_delayed(info, cfg, /*dmc=*/false);
-  expect_traces_bitwise(base, delayed);
+  const RunResult delayed = run_delayed(graphite, cfg, /*dmc=*/false);
+  expect_chains_bitwise(base, delayed);
 }
 
 TEST(DelayedDriverParity, GraphiteDmcDelayRankOneBitwiseMatchesPlain)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec graphite = workload_spec(Workload::Graphite);
   const DriverConfig cfg = delayed_config(/*delay_rank=*/1, /*crowd=*/2, /*steps=*/2, 4);
   BuildOptions plain;
-  auto sys = build_system<double>(info, plain);
+  auto sys = build_system<double>(graphite, plain);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const RunResult base = driver.run_dmc();
-  const RunResult delayed = run_delayed(info, cfg, /*dmc=*/true);
-  expect_traces_bitwise(base, delayed);
+  const RunResult delayed = run_delayed(graphite, cfg, /*dmc=*/true);
+  expect_chains_bitwise(base, delayed);
 }
 
 TEST(DelayedDriverParity, GraphiteVmcEnergyParityAcrossDelayRanks)
@@ -456,13 +415,13 @@ TEST(DelayedDriverParity, GraphiteVmcEnergyParityAcrossDelayRanks)
   // Rank-1 and Woodbury windows walk the same Markov chain up to
   // floating-point association; short chains agree to tight tolerance
   // for every delay rank (Sec. 8.4 correctness contract).
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec graphite = workload_spec(Workload::Graphite);
   const RunResult rank1 =
-      run_delayed(info, delayed_config(1, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
+      run_delayed(graphite, delayed_config(1, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
   for (int delay : {2, 4, 8})
   {
     const RunResult delayed =
-        run_delayed(info, delayed_config(delay, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
+        run_delayed(graphite, delayed_config(delay, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
     expect_traces_match(rank1, delayed, 1e-6);
   }
 }
@@ -472,11 +431,11 @@ TEST(DelayedDriverParity, GraphiteDmcEnergyParityWithBranching)
   // DMC adds branching off the serialized walker buffers: the
   // barrier-side flush must commit every pending binding before weights
   // and clones are computed.
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec graphite = workload_spec(Workload::Graphite);
   const RunResult rank1 =
-      run_delayed(info, delayed_config(1, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
+      run_delayed(graphite, delayed_config(1, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
   const RunResult delayed =
-      run_delayed(info, delayed_config(4, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
+      run_delayed(graphite, delayed_config(4, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
   expect_traces_match(rank1, delayed, 1e-6);
 }
 
@@ -484,10 +443,10 @@ TEST(DelayedDriverParity, DelayedChainInvariantAcrossCrowdSizes)
 {
   // For a fixed delay rank the chain must not depend on crowd batching:
   // every crowd size runs the same mw_* sweep through the engine.
-  const WorkloadInfo info = tiny_workload();
-  const RunResult crowd1 = run_delayed(info, delayed_config(4, 1), /*dmc=*/false);
-  const RunResult crowd2 = run_delayed(info, delayed_config(4, 2), /*dmc=*/false);
-  const RunResult crowd4 = run_delayed(info, delayed_config(4, 4), /*dmc=*/false);
+  const SystemSpec tiny = tiny_spec();
+  const RunResult crowd1 = run_delayed(tiny, delayed_config(4, 1), /*dmc=*/false);
+  const RunResult crowd2 = run_delayed(tiny, delayed_config(4, 2), /*dmc=*/false);
+  const RunResult crowd4 = run_delayed(tiny, delayed_config(4, 4), /*dmc=*/false);
   expect_traces_match(crowd1, crowd2, 1e-10);
   expect_traces_match(crowd1, crowd4, 1e-10);
 }
@@ -497,16 +456,16 @@ TEST(DelayedDriverParity, FlushAtBarrierBitwiseAcrossThreadCounts)
   // Threaded crowd execution must read committed inverses only: with
   // engine flushes forced at the generation barrier, chains are
   // bitwise-identical for num_threads in {1, 2, 4}.
-  const WorkloadInfo info = tiny_workload();
+  const SystemSpec tiny = tiny_spec();
   for (const bool dmc : {false, true})
   {
     DriverConfig cfg = delayed_config(4, /*crowd=*/2, /*steps=*/4, /*walkers=*/5);
-    const RunResult serial = run_delayed(info, cfg, dmc);
+    const RunResult serial = run_delayed(tiny, cfg, dmc);
     for (int nthreads : {2, 4})
     {
       cfg.num_threads = nthreads;
-      const RunResult threaded = run_delayed(info, cfg, dmc);
-      expect_traces_bitwise(serial, threaded);
+      const RunResult threaded = run_delayed(tiny, cfg, dmc);
+      expect_chains_bitwise(serial, threaded);
     }
   }
 }

@@ -16,6 +16,7 @@
 
 #include "drivers/qmc_driver_impl.h"
 #include "workloads/system_builder.h"
+#include "workloads/workloads.h"
 
 #include "test_utils.h"
 
@@ -424,27 +425,13 @@ DriverConfig parity_config(int steps, int walkers)
 
 RunResult run_graphite(LayoutMode layout, DTUpdateMode mode, bool dmc, int steps, int walkers)
 {
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
   BuildOptions opt;
   opt.layout = layout;
   opt.dt_mode = mode;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(workload_spec(Workload::Graphite), opt);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, parity_config(steps, walkers));
   driver.initialize_population();
   return dmc ? driver.run_dmc() : driver.run_vmc();
-}
-
-void expect_chains_identical(const RunResult& a, const RunResult& b, const char* what)
-{
-  ASSERT_EQ(a.generations.size(), b.generations.size()) << what;
-  for (std::size_t g = 0; g < a.generations.size(); ++g)
-  {
-    EXPECT_EQ(a.generations[g].energy, b.generations[g].energy) << what << " gen " << g;
-    EXPECT_EQ(a.generations[g].variance, b.generations[g].variance) << what << " gen " << g;
-    EXPECT_EQ(a.generations[g].acceptance, b.generations[g].acceptance) << what << " gen " << g;
-    EXPECT_EQ(a.generations[g].num_walkers, b.generations[g].num_walkers) << what << " gen " << g;
-    EXPECT_EQ(a.generations[g].weight, b.generations[g].weight) << what << " gen " << g;
-  }
 }
 
 } // namespace
@@ -458,7 +445,7 @@ TEST(LayoutParity, GraphiteVmcChainBitwiseIdentical)
                                      /*dmc=*/false, /*steps=*/2, /*walkers=*/2);
   const RunResult aos = run_graphite(LayoutMode::Reference, DTUpdateMode::OnTheFly,
                                      /*dmc=*/false, 2, 2);
-  expect_chains_identical(soa, aos, "vmc");
+  expect_chains_bitwise(soa, aos);
 }
 
 TEST(LayoutParity, GraphiteDmcChainBitwiseIdentical)
@@ -467,7 +454,7 @@ TEST(LayoutParity, GraphiteDmcChainBitwiseIdentical)
                                      /*dmc=*/true, /*steps=*/3, /*walkers=*/2);
   const RunResult aos = run_graphite(LayoutMode::Reference, DTUpdateMode::OnTheFly,
                                      /*dmc=*/true, 3, 2);
-  expect_chains_identical(soa, aos, "dmc");
+  expect_chains_bitwise(soa, aos);
 }
 
 TEST(DTUpdateModeParity, ForwardUpdateAndOnTheFlyChainsIdentical)
@@ -479,7 +466,7 @@ TEST(DTUpdateModeParity, ForwardUpdateAndOnTheFlyChainsIdentical)
                                     /*dmc=*/true, /*steps=*/4, /*walkers=*/3);
   const RunResult otf = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
                                      /*dmc=*/true, 4, 3);
-  expect_chains_identical(fu, otf, "fu-vs-otf");
+  expect_chains_bitwise(fu, otf);
 }
 
 TEST(DistanceTableSkewedCell, SoaFallbackMatchesAos)
@@ -688,8 +675,8 @@ TEST(MinImageKernel, RoundHalfEvenMatchesNearbyintDouble) { check_round_half_eve
 
 TEST(MinImageKernel, RowsMatchNearbyintKernelsBitwise)
 {
-  const Lattice& graphite = workload_info(Workload::Graphite).lattice;
-  const Lattice& nio = workload_info(Workload::NiO32).lattice;
+  const Lattice graphite = workload_spec(Workload::Graphite).lattice;
+  const Lattice nio = workload_spec(Workload::NiO32).lattice;
   ASSERT_FALSE(graphite.orthorhombic());
   ASSERT_TRUE(nio.orthorhombic());
   // A triclinic cell, every lattice component nonzero: every corner sum

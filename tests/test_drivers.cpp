@@ -10,37 +10,14 @@
 
 #include "drivers/qmc_driver_impl.h"
 #include "drivers/qmc_system.h"
+#include "test_utils.h"
 #include "workloads/system_builder.h"
 
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
-
-/// A miniature workload (16 electrons, 4 ions) for fast driver tests.
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
-}
 
 DriverConfig test_config(int steps = 4, int walkers = 4)
 {
@@ -58,12 +35,11 @@ DriverConfig test_config(int steps = 4, int walkers = 4)
 
 TEST(SystemBuilder, BuildsAllLayoutsAndPrecisions)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
-  auto s1 = build_system<double>(info, aos);
-  auto s2 = build_system<float>(info, soa);
+  auto s1 = build_system<double>(tiny_spec(), aos);
+  auto s2 = build_system<float>(tiny_spec(), soa);
   EXPECT_EQ(s1.elec->size(), 16);
   EXPECT_EQ(s1.ions->size(), 4);
   EXPECT_EQ(s1.twf->num_components(), 4); // J2, J1, 2 determinants
@@ -80,12 +56,11 @@ TEST(SystemBuilder, BuildsAllLayoutsAndPrecisions)
 
 TEST(SystemBuilder, RefAndCurrentLogPsiAgree)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
-  auto s1 = build_system<double>(info, aos);
-  auto s2 = build_system<double>(info, soa);
+  auto s1 = build_system<double>(tiny_spec(), aos);
+  auto s2 = build_system<double>(tiny_spec(), soa);
   // Same seed -> same electron start configuration.
   for (int i = 0; i < 16; ++i)
     for (unsigned d = 0; d < 3; ++d)
@@ -99,12 +74,11 @@ TEST(SystemBuilder, RefAndCurrentLogPsiAgree)
 
 TEST(SystemBuilder, LocalEnergyAgreesAcrossLayouts)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
-  auto s1 = build_system<double>(info, aos);
-  auto s2 = build_system<double>(info, soa);
+  auto s1 = build_system<double>(tiny_spec(), aos);
+  auto s2 = build_system<double>(tiny_spec(), soa);
   s1.elec->update();
   s1.twf->evaluate_log(*s1.elec);
   s2.elec->update();
@@ -179,9 +153,8 @@ TEST(PlaneWaveDeterminant, KineticEnergyMatchesBandSum)
 
 TEST(VmcDriver, RunsAndProducesFiniteStatistics)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, test_config(6, 4));
   driver.initialize_population();
   const RunResult res = driver.run_vmc();
@@ -199,18 +172,14 @@ TEST(VmcDriver, RunsAndProducesFiniteStatistics)
 
 TEST(VmcDriver, DeterministicForSeed)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto s1 = build_system<double>(info, opt);
-  auto s2 = build_system<double>(info, opt);
+  auto s1 = build_system<double>(tiny_spec(), opt);
+  auto s2 = build_system<double>(tiny_spec(), opt);
   QMCDriver<double> d1(*s1.elec, *s1.twf, *s1.ham, test_config());
   QMCDriver<double> d2(*s2.elec, *s2.twf, *s2.ham, test_config());
   d1.initialize_population();
   d2.initialize_population();
-  const RunResult r1 = d1.run_vmc();
-  const RunResult r2 = d2.run_vmc();
-  for (std::size_t g = 0; g < r1.generations.size(); ++g)
-    EXPECT_DOUBLE_EQ(r1.generations[g].energy, r2.generations[g].energy);
+  expect_chains_bitwise(d1.run_vmc(), d2.run_vmc());
 }
 
 TEST(VmcDriver, RefAndCurrentEnergiesTrackEachOther)
@@ -218,12 +187,11 @@ TEST(VmcDriver, RefAndCurrentEnergiesTrackEachOther)
   // Same seeds, same Markov chain proposals: Ref (double AoS) and
   // Current (double SoA) must produce nearly identical energy traces;
   // float Current should track loosely.
-  const WorkloadInfo info = tiny_workload();
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;
-  auto s1 = build_system<double>(info, aos);
-  auto s2 = build_system<double>(info, soa);
+  auto s1 = build_system<double>(tiny_spec(), aos);
+  auto s2 = build_system<double>(tiny_spec(), soa);
   QMCDriver<double> d1(*s1.elec, *s1.twf, *s1.ham, test_config(4, 3));
   QMCDriver<double> d2(*s2.elec, *s2.twf, *s2.ham, test_config(4, 3));
   d1.initialize_population();
@@ -238,9 +206,8 @@ TEST(VmcDriver, RefAndCurrentEnergiesTrackEachOther)
 
 TEST(DmcDriver, PopulationStaysBoundedAndEnergiesFinite)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   DriverConfig cfg = test_config(10, 6);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -259,9 +226,8 @@ TEST(DmcDriver, PopulationStaysBoundedAndEnergiesFinite)
 
 TEST(DmcDriver, MultiThreadedRunMatchesWalkerCount)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<float>(info, opt);
+  auto sys = build_system<float>(tiny_spec(), opt);
   DriverConfig cfg = test_config(5, 8);
   cfg.num_threads = 2; // oversubscribed on 1 core, still must be correct
   QMCDriver<float> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
@@ -274,9 +240,8 @@ TEST(DmcDriver, MultiThreadedRunMatchesWalkerCount)
 
 TEST(DriverConfig, InvalidValuesAreRejectedAtConstruction)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   auto make = [&](DriverConfig cfg) {
     QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   };

@@ -15,10 +15,12 @@
 #include "estimators/estimators.h"
 #include "numerics/rng.h"
 #include "particle/distance_table_soa.h"
+#include "test_utils.h"
 #include "workloads/system_builder.h"
 #include "workloads/system_spec.h"
 
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
@@ -211,22 +213,6 @@ TEST(PairCorrelation, ShellCountsOnPerfectSublattice)
 namespace
 {
 
-SystemSpec tiny_spec()
-{
-  SystemSpec s;
-  s.name = "Tiny";
-  s.num_electrons = 16;
-  s.grid = {10, 10, 10};
-  s.num_orbitals = 8;
-  s.has_pseudopotential = true;
-  s.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  s.ion_counts = {4};
-  s.lattice = Lattice::cubic(7.0);
-  s.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return s;
-}
-
 RunResult run_tiny_with_estimators(bool dmc, int crowd_size, int num_threads)
 {
   const SystemSpec spec = tiny_spec();
@@ -297,25 +283,6 @@ TEST(EstimatorInvariance, DmcBitwiseAcrossCrowdAndThreads)
 namespace
 {
 
-/// Bitwise chain equality on the six per-generation scalars the
-/// neutrality contract covers. Pure comparison (no gtest assertions) so
-/// the caller can distinguish "reproducible mismatch" from a one-off.
-bool chains_match(const RunResult& a, const RunResult& b)
-{
-  if (a.generations.size() != b.generations.size())
-    return false;
-  for (std::size_t g = 0; g < a.generations.size(); ++g)
-  {
-    const GenerationStats& x = a.generations[g];
-    const GenerationStats& y = b.generations[g];
-    if (x.energy != y.energy || x.variance != y.variance || x.weight != y.weight ||
-        x.num_walkers != y.num_walkers || x.acceptance != y.acceptance ||
-        x.trial_energy != y.trial_energy)
-      return false;
-  }
-  return a.mean_energy == b.mean_energy;
-}
-
 void check_chain_neutrality(Workload w)
 {
   EngineRunSpec off;
@@ -340,30 +307,21 @@ void check_chain_neutrality(Workload w)
   // an estimator side effect. Retry once before failing.
   EngineReport rep_off = run_engine(off);
   EngineReport rep_on = run_engine(on);
-  if (!chains_match(rep_off.result, rep_on.result))
+  if (!chains_bitwise(rep_off.result, rep_on.result))
   {
-    std::cerr << "[ NOTE ] " << workload_info(w).name
+    std::cerr << "[ NOTE ] " << workload_spec(w).name
               << " neutrality mismatch; re-running both chains to check "
                  "reproducibility\n";
     rep_off = run_engine(off);
     rep_on = run_engine(on);
   }
 
-  ASSERT_EQ(rep_on.result.generations.size(), rep_off.result.generations.size());
+  ASSERT_TRUE(chains_bitwise(rep_off.result, rep_on.result));
   for (std::size_t g = 0; g < rep_off.result.generations.size(); ++g)
   {
-    const GenerationStats& a = rep_off.result.generations[g];
-    const GenerationStats& b = rep_on.result.generations[g];
-    EXPECT_EQ(a.energy, b.energy) << "generation " << g;
-    EXPECT_EQ(a.variance, b.variance) << "generation " << g;
-    EXPECT_EQ(a.weight, b.weight) << "generation " << g;
-    EXPECT_EQ(a.num_walkers, b.num_walkers) << "generation " << g;
-    EXPECT_EQ(a.acceptance, b.acceptance) << "generation " << g;
-    EXPECT_EQ(a.trial_energy, b.trial_energy) << "generation " << g;
-    EXPECT_TRUE(a.estimator_bins.empty());
-    EXPECT_FALSE(b.estimator_bins.empty());
+    EXPECT_TRUE(rep_off.result.generations[g].estimator_bins.empty());
+    EXPECT_FALSE(rep_on.result.generations[g].estimator_bins.empty());
   }
-  EXPECT_EQ(rep_on.result.mean_energy, rep_off.result.mean_energy);
   ASSERT_NE(rep_on.result.labels, nullptr);
   EXPECT_EQ(rep_on.result.labels->estimators, (std::vector<std::string>{"gofr", "sofk"}));
   EXPECT_FALSE(rep_on.result.mean_estimator_bins.empty());

@@ -14,6 +14,7 @@
 #include "test_utils.h"
 #include "wavefunction/trial_wavefunction.h"
 #include "workloads/system_builder.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
 using namespace qmcxx::testing;
@@ -212,7 +213,7 @@ QMCSystem<TR> measured_system(Workload w, bool soa, LayoutMode layout)
   BuildOptions opt;
   opt.soa_layout = soa;
   opt.layout = layout;
-  QMCSystem<TR> sys = build_system<TR>(workload_info(w), opt);
+  QMCSystem<TR> sys = build_system<TR>(workload_spec(w), opt);
   sys.elec->update();
   sys.twf->evaluate_log(*sys.elec);
   return sys;
@@ -222,11 +223,11 @@ QMCSystem<TR> measured_system(Workload w, bool soa, LayoutMode layout)
 /// (radius r = |r_ia|, directions quad.points), or empty when the pair
 /// is outside the ion's channel.
 template<typename TR>
-std::vector<Pos> nlpp_fan(const QMCSystem<TR>& sys, const WorkloadInfo& info, int i, int a,
+std::vector<Pos> nlpp_fan(const QMCSystem<TR>& sys, const SystemSpec& spec, int i, int a,
                           const SphericalQuadrature& quad)
 {
   const auto& dt = sys.elec->table(sys.table_ei);
-  const auto& sp = info.species[sys.ions->group_id(a)];
+  const auto& sp = spec.species[sys.ions->group_id(a)];
   const FullPrecReal r = static_cast<double>(dt.dist(i, a));
   if (sp.nl_amplitude == 0.0 || r >= sp.nl_rcut)
     return {};
@@ -243,7 +244,7 @@ template<typename TR>
 void check_fan_matches_scalar_sweep(Workload w, bool soa, LayoutMode layout)
 {
   QMCSystem<TR> sys = measured_system<TR>(w, soa, layout);
-  const WorkloadInfo& info = workload_info(w);
+  const SystemSpec spec = workload_spec(w);
   ParticleSet<TR>& p = *sys.elec;
   TrialWaveFunction<TR>& twf = *sys.twf;
   const SphericalQuadrature quad = make_spherical_quadrature(12);
@@ -251,7 +252,7 @@ void check_fan_matches_scalar_sweep(Workload w, bool soa, LayoutMode layout)
   for (int i = 0; i < p.size(); ++i)
     for (int a = 0; a < sys.ions->size(); ++a)
     {
-      const std::vector<Pos> fan = nlpp_fan(sys, info, i, a, quad);
+      const std::vector<Pos> fan = nlpp_fan(sys, spec, i, a, quad);
       if (fan.empty())
         continue;
       ++fans;
@@ -264,11 +265,11 @@ void check_fan_matches_scalar_sweep(Workload w, bool soa, LayoutMode layout)
         const FullPrecReal scalar = twf.calc_ratio(p, i);
         twf.reject_move(p, i);
         ASSERT_TRUE(same_bits(batched[q], scalar))
-            << info.name << " elec " << i << " ion " << a << " q " << q << ": " << batched[q]
+            << spec.name << " elec " << i << " ion " << a << " q " << q << ": " << batched[q]
             << " vs " << scalar;
       }
     }
-  EXPECT_GT(fans, 0) << info.name << ": no electron inside any nl_rcut";
+  EXPECT_GT(fans, 0) << spec.name << ": no electron inside any nl_rcut";
 }
 
 } // namespace
@@ -294,15 +295,15 @@ TEST(NonLocalPP, FanComputesOneRowPerTablePerPoint)
   // scope each), shared by J1 and J2; the per-component make_move sweep
   // it replaced paid four.
   QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec graphite = workload_spec(Workload::Graphite);
   const SphericalQuadrature quad = make_spherical_quadrature(12);
   std::uint64_t points = 0;
   for (int i = 0; i < sys.elec->size(); ++i)
     for (int a = 0; a < sys.ions->size(); ++a)
-      points += nlpp_fan(sys, info, i, a, quad).size();
+      points += nlpp_fan(sys, graphite, i, a, quad).size();
   ASSERT_GT(points, 0u);
   std::vector<NLChannel> channels;
-  for (const auto& sp : info.species)
+  for (const auto& sp : graphite.species)
     channels.push_back(NLChannel{1, sp.nl_amplitude, sp.nl_width, sp.nl_rcut});
   NonLocalPP<float> nlpp(*sys.ions, channels, sys.table_ei, quad.size());
 
@@ -342,7 +343,7 @@ void check_shared_rho_matches_vector_overloads(Workload w)
   const FullPrecReal ei = ew.interaction_kspace(rho.re.data(), rho.im.data(), -p.size(), ions);
   const FullPrecReal ee_ref = ew.kspace_energy(p.positions(), q_e);
   const FullPrecReal ei_ref = ew.interaction_kspace_cached(p.positions(), q_e, ions);
-  const std::string name = workload_info(w).name + (sizeof(TR) == 4 ? " float" : " double");
+  const std::string name = workload_spec(w).name + (sizeof(TR) == 4 ? " float" : " double");
   EXPECT_TRUE(same_bits(ee, ee_ref)) << name << ": " << ee << " vs " << ee_ref;
   EXPECT_TRUE(same_bits(ei, ei_ref)) << name << ": " << ei << " vs " << ei_ref;
 }
@@ -350,11 +351,11 @@ void check_shared_rho_matches_vector_overloads(Workload w)
 /// CoulombEE + CoulombEI of `p`, each term on its own, in the order
 /// the Hamiltonian evaluates them.
 template<typename TR>
-std::pair<double, double> coulomb_pair(const QMCSystem<TR>& sys, const WorkloadInfo& info,
+std::pair<double, double> coulomb_pair(const QMCSystem<TR>& sys, const SystemSpec& spec,
                                        ParticleSet<TR>& p)
 {
   std::vector<double> r_core;
-  for (const auto& sp : info.species)
+  for (const auto& sp : spec.species)
     r_core.push_back(sp.r_core);
   CoulombEE<TR> ee(p.lattice(), sys.table_ee);
   CoulombEI<TR> ei(*sys.ions, r_core, sys.table_ei);
@@ -378,7 +379,7 @@ TEST(CoulombKSpace, CachedRhoIsNeverStale)
 {
   // After every kind of position write the next Coulomb evaluation must
   // equal, bitwise, that of a freshly built set at the same positions.
-  const WorkloadInfo& info = workload_info(Workload::Graphite);
+  const SystemSpec graphite = workload_spec(Workload::Graphite);
   QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
   QMCSystem<float> fresh =
       measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
@@ -386,8 +387,8 @@ TEST(CoulombKSpace, CachedRhoIsNeverStale)
   const auto expect_fresh = [&](ParticleSet<float>& set, const char* after) {
     fresh.elec->set_positions(set.positions());
     fresh.elec->update();
-    const auto got = coulomb_pair(sys, info, set);
-    const auto want = coulomb_pair(fresh, info, *fresh.elec);
+    const auto got = coulomb_pair(sys, graphite, set);
+    const auto want = coulomb_pair(fresh, graphite, *fresh.elec);
     EXPECT_TRUE(same_bits(got.first, want.first)) << "CoulombEE after " << after;
     EXPECT_TRUE(same_bits(got.second, want.second)) << "CoulombEI after " << after;
   };

@@ -15,15 +15,10 @@ using namespace qmcxx;
 namespace
 {
 
-WorkloadInfo scaled_workload(int nions)
+SystemSpec scaled_workload(int nions)
 {
-  WorkloadInfo w;
+  SystemSpec w;
   w.name = "scaled-" + std::to_string(nions);
-  w.id = Workload::Graphite;
-  w.num_ions = nions;
-  w.ions_per_unit_cell = nions;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
   w.has_pseudopotential = true;
   w.num_electrons = 4 * nions;
   w.num_orbitals = w.num_electrons / 2;
@@ -52,7 +47,7 @@ class MixedPrecisionSweep : public ::testing::TestWithParam<int> // nions
 
 TEST_P(MixedPrecisionSweep, LogPsiTracksDouble)
 {
-  const WorkloadInfo w = scaled_workload(GetParam());
+  const SystemSpec w = scaled_workload(GetParam());
   BuildOptions opt;
   auto sd = build_system<double>(w, opt);
   auto sf = build_system<float>(w, opt);
@@ -72,7 +67,7 @@ TEST_P(MixedPrecisionSweep, LogPsiTracksDouble)
 
 TEST_P(MixedPrecisionSweep, LocalEnergyTracksDouble)
 {
-  const WorkloadInfo w = scaled_workload(GetParam());
+  const SystemSpec w = scaled_workload(GetParam());
   BuildOptions opt;
   auto sd = build_system<double>(w, opt);
   auto sf = build_system<float>(w, opt);
@@ -89,7 +84,7 @@ TEST_P(MixedPrecisionSweep, LocalEnergyTracksDouble)
 
 TEST_P(MixedPrecisionSweep, GradientsTrackDouble)
 {
-  const WorkloadInfo w = scaled_workload(GetParam());
+  const SystemSpec w = scaled_workload(GetParam());
   BuildOptions opt;
   auto sd = build_system<double>(w, opt);
   auto sf = build_system<float>(w, opt);
@@ -130,7 +125,7 @@ TEST(MixedPrecision, RecomputeBoundsDriftOverLongRuns)
   // Run the float engine for many generations with and without the
   // periodic from-scratch recompute; the recompute path's final
   // log psi must match a fresh double evaluation more closely.
-  const WorkloadInfo w = scaled_workload(4);
+  const SystemSpec w = scaled_workload(4);
   auto run_final_error = [&](int recompute_period) {
     BuildOptions opt;
     auto sys = build_system<float>(w, opt);
@@ -163,7 +158,7 @@ TEST(MixedPrecision, CurrentDPIsolatesLayoutFromPrecision)
   // The CurrentDP ablation (SoA layout, double precision) must agree
   // with Ref (AoS, double) to near machine precision: layout is
   // mathematically neutral.
-  const WorkloadInfo w = scaled_workload(4);
+  const SystemSpec w = scaled_workload(4);
   BuildOptions aos, soa;
   aos.soa_layout = false;
   soa.soa_layout = true;

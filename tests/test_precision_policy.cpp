@@ -3,8 +3,8 @@
 // bitwise-silent on double chains, keep float and double energies in
 // agreement at engine level, and the {layout} x {precision} dispatch
 // must make a variant alias indistinguishable from its explicit-policy
-// equivalent. Also covers the "precision" job-spec / system-spec keys
-// and the DriverConfig drift-knob validation.
+// equivalent. Also covers the "precision" job-spec key and the
+// DriverConfig drift-knob validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,25 +88,6 @@ EngineRunSpec graphite_spec(EngineVariant variant, bool dmc, int crowd_size, int
   spec.driver.crowd_size = crowd_size;
   spec.driver.num_threads = num_threads;
   return spec;
-}
-
-/// Bitwise identity of two chains, drift telemetry included.
-void expect_traces_bitwise(const RunResult& a, const RunResult& b)
-{
-  ASSERT_EQ(a.generations.size(), b.generations.size());
-  for (std::size_t g = 0; g < a.generations.size(); ++g)
-  {
-    EXPECT_EQ(a.generations[g].energy, b.generations[g].energy) << "generation " << g;
-    EXPECT_EQ(a.generations[g].variance, b.generations[g].variance) << "generation " << g;
-    EXPECT_EQ(a.generations[g].weight, b.generations[g].weight) << "generation " << g;
-    EXPECT_EQ(a.generations[g].num_walkers, b.generations[g].num_walkers)
-        << "generation " << g;
-    EXPECT_EQ(a.generations[g].acceptance, b.generations[g].acceptance) << "generation " << g;
-    EXPECT_EQ(a.generations[g].trial_energy, b.generations[g].trial_energy)
-        << "generation " << g;
-  }
-  EXPECT_EQ(a.mean_energy, b.mean_energy);
-  EXPECT_EQ(a.mean_variance, b.mean_variance);
 }
 
 } // namespace
@@ -249,7 +230,7 @@ TEST(PrecisionPolicy, DoubleChainsBitwiseNeutralUnderGuard)
         off.driver.precision.drift_sample_rows = 0; // monitor disabled
         const EngineReport a = run_engine(guarded);
         const EngineReport b = run_engine(off);
-        expect_traces_bitwise(a.result, b.result);
+        expect_chains_bitwise(a.result, b.result);
         EXPECT_GT(a.result.total_drift_rows_sampled, 0u);
         EXPECT_EQ(a.result.total_drift_refreshes, 0u);
         EXPECT_LT(a.result.max_drift_residual, 1e-8);
@@ -280,7 +261,7 @@ TEST(PrecisionPolicy, VariantAliasEqualsExplicitPolicy)
     EngineRunSpec overridden = graphite_spec(c.layout, false, 1, 1);
     overridden.driver.precision.precision = c.prec;
     const EngineReport explicit_run = run_engine(overridden);
-    expect_traces_bitwise(aliased.result, explicit_run.result);
+    expect_chains_bitwise(aliased.result, explicit_run.result);
   }
 }
 
@@ -374,54 +355,10 @@ TEST(PrecisionSpec, JobSpecCarriesPolicy)
                std::runtime_error);
 }
 
-TEST(PrecisionSpec, SystemSpecPrecisionKeyRoundTripsAndHashes)
-{
-  SystemSpec spec = to_spec(workload_info(Workload::Graphite));
-  ASSERT_EQ(spec.precision_bytes, 0); // enum workloads leave it unset
-  const std::uint64_t unset_hash = spec_content_hash(spec);
-  const std::string unset_text = io::serialize_system_spec(spec);
-  // Committed pre-policy spec files must stay byte-identical: no key
-  // is emitted while the field is unset.
-  EXPECT_EQ(unset_text.find("\"precision\""), std::string::npos);
-
-  spec.precision_bytes = 4;
-  const std::string text = io::serialize_system_spec(spec);
-  EXPECT_NE(text.find("\"precision\": \"single\""), std::string::npos);
-  const SystemSpec round = io::parse_system_spec(text, "round-trip");
-  EXPECT_TRUE(round == spec);
-  EXPECT_EQ(round.precision_bytes, 4);
-  // A set precision is part of the content identity.
-  EXPECT_NE(spec_content_hash(spec), unset_hash);
-
-  spec.precision_bytes = 8;
-  const SystemSpec dbl =
-      io::parse_system_spec(io::serialize_system_spec(spec), "round-trip-double");
-  EXPECT_EQ(dbl.precision_bytes, 8);
-}
-
 TEST(PrecisionSpec, ValidateConfigRejectsBadDriftKnobs)
 {
-  const WorkloadInfo info = []() {
-    WorkloadInfo w;
-    w.name = "TinyGuard";
-    w.id = Workload::Graphite;
-    w.num_electrons = 16;
-    w.num_ions = 4;
-    w.ions_per_unit_cell = 4;
-    w.num_unit_cells = 1;
-    w.ion_types = "X(4)";
-    w.has_pseudopotential = true;
-    w.grid = {10, 10, 10};
-    w.num_orbitals = 8;
-    w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-    w.ion_counts = {4};
-    w.lattice = Lattice::cubic(7.0);
-    w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                       {1.75, 5.25, 5.25}};
-    return w;
-  }();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   const auto expect_rejected = [&](DriverConfig cfg, const char* needle) {
     try
     {

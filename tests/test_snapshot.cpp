@@ -5,6 +5,7 @@
 // crowd_size x num_threads decomposition, branching history included.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -17,9 +18,11 @@
 #include "drivers/qmc_system.h"
 #include "io/job_spec.h"
 #include "io/snapshot.h"
+#include "test_utils.h"
 #include "workloads/system_builder.h"
 
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
 namespace
 {
@@ -27,31 +30,6 @@ namespace
 std::string tmp_path(const std::string& name)
 {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// A miniature workload (16 electrons, 4 ions) for fast driver tests.
-WorkloadInfo tiny_workload()
-{
-  WorkloadInfo w;
-  w.name = "Tiny";
-  w.id = Workload::Graphite; // placeholder id
-  w.num_electrons = 16;
-  w.num_ions = 4;
-  w.ions_per_unit_cell = 4;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(4)";
-  w.paper_unique_spos = 8;
-  w.paper_fft_grid = "-";
-  w.paper_spline_gb = 0;
-  w.has_pseudopotential = true;
-  w.grid = {10, 10, 10};
-  w.num_orbitals = 8;
-  w.species = {{"X", 4.0, -0.4, 1.1, 0.6, 0.8, 0.9, 1.6}};
-  w.ion_counts = {4};
-  w.lattice = Lattice::cubic(7.0);
-  w.ion_positions = {{1.75, 1.75, 1.75}, {5.25, 5.25, 1.75}, {5.25, 1.75, 5.25},
-                     {1.75, 5.25, 5.25}};
-  return w;
 }
 
 DriverConfig test_config(int steps = 4, int walkers = 4)
@@ -136,23 +114,12 @@ void expect_snapshots_identical(const io::PopulationSnapshot& a, const io::Popul
 
 /// head.generations ++ tail.generations must equal ref.generations,
 /// field for field, bitwise (== on non-NaN doubles is bit equality).
-void expect_generations_identical(const RunResult& ref, const RunResult& head,
-                                  const RunResult& tail)
+/// The generations of a chain run as `head`, then resumed as `tail`.
+std::vector<GenerationStats> joined(const RunResult& head, const RunResult& tail)
 {
-  ASSERT_EQ(head.generations.size() + tail.generations.size(), ref.generations.size());
-  for (std::size_t g = 0; g < ref.generations.size(); ++g)
-  {
-    const GenerationStats& r = ref.generations[g];
-    const GenerationStats& s = g < head.generations.size()
-        ? head.generations[g]
-        : tail.generations[g - head.generations.size()];
-    EXPECT_EQ(r.energy, s.energy) << "generation " << g;
-    EXPECT_EQ(r.variance, s.variance) << "generation " << g;
-    EXPECT_EQ(r.weight, s.weight) << "generation " << g;
-    EXPECT_EQ(r.num_walkers, s.num_walkers) << "generation " << g;
-    EXPECT_EQ(r.acceptance, s.acceptance) << "generation " << g;
-    EXPECT_EQ(r.trial_energy, s.trial_energy) << "generation " << g;
-  }
+  std::vector<GenerationStats> gens = head.generations;
+  gens.insert(gens.end(), tail.generations.begin(), tail.generations.end());
+  return gens;
 }
 
 /// Flip one byte at `offset` in a file (CRC/tamper tests).
@@ -443,9 +410,8 @@ TEST(SnapshotCompat, FingerprintSeparatesFields)
 
 TEST(DriverSnapshot, CaptureRestoreRoundTripsPopulation)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   DriverConfig cfg = test_config(3, 3);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -462,9 +428,8 @@ TEST(DriverSnapshot, CaptureRestoreRoundTripsPopulation)
 
 TEST(DriverSnapshot, FailedRestoreLeavesDriverUntouched)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   const DriverConfig cfg = test_config(2, 2);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -483,9 +448,8 @@ TEST(DriverSnapshot, FailedRestoreLeavesDriverUntouched)
 
 TEST(DriverSnapshot, RejectsChainKindMismatch)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   const DriverConfig cfg = test_config(2, 2);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -499,9 +463,8 @@ TEST(DriverSnapshot, RejectsChainKindMismatch)
 
 TEST(DriverSnapshot, PrecisionTagMismatchRejected)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   const DriverConfig cfg = test_config(2, 2);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -512,9 +475,8 @@ TEST(DriverSnapshot, PrecisionTagMismatchRejected)
 
 TEST(DriverSnapshot, ConfigValidationRejectsBadCheckpointKnobs)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   DriverConfig cfg = test_config(2, 2);
   cfg.checkpoint_every = -1;
   EXPECT_THROW(QMCDriver<double>(*sys.elec, *sys.twf, *sys.ham, cfg), std::invalid_argument);
@@ -540,9 +502,8 @@ namespace
 void check_exact_resume(bool dmc, int crowd_head, int threads_head, int crowd_tail,
                         int threads_tail)
 {
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   const int steps = 5, cut = 2;
   const io::ChainKind kind = dmc ? io::ChainKind::DMC : io::ChainKind::VMC;
 
@@ -571,7 +532,7 @@ void check_exact_resume(bool dmc, int crowd_head, int threads_head, int crowd_ta
   const RunResult tail_res = dmc ? tail.run_dmc() : tail.run_vmc();
   EXPECT_EQ(tail_res.start_generation, cut);
 
-  expect_generations_identical(ref, head_res, tail_res);
+  EXPECT_TRUE(chains_bitwise(ref.generations, joined(head_res, tail_res)));
   // Final chain state, not just the statistics: capture both endpoints.
   expect_snapshots_identical(full.capture_snapshot(steps, kind),
                              tail.capture_snapshot(steps, kind));
@@ -606,9 +567,8 @@ TEST(ExactResume, RecomputeFlagResumesStatistically)
 {
   // Dropping the buffers still restores and runs; exact energies may
   // (and generally do) differ in low bits, so only sanity is checked.
-  const WorkloadInfo info = tiny_workload();
   BuildOptions opt;
-  auto sys = build_system<double>(info, opt);
+  auto sys = build_system<double>(tiny_spec(), opt);
   const DriverConfig cfg = test_config(3, 3);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -664,7 +624,7 @@ void check_engine_resume(Workload workload, bool dmc, int crowd, int threads)
   const EngineReport tail = run_engine(tail_spec);
   EXPECT_EQ(tail.result.start_generation, cut);
 
-  expect_generations_identical(ref.result, head.result, tail.result);
+  EXPECT_TRUE(chains_bitwise(ref.result.generations, joined(head.result, tail.result)));
   std::filesystem::remove(path);
 }
 
@@ -748,8 +708,18 @@ TEST(JobSpec, DefaultsAndAliases)
   EXPECT_EQ(spec.workload, Workload::Graphite);
   EXPECT_EQ(spec.variant, EngineVariant::Current);
   EXPECT_FALSE(spec.dmc);
-  EXPECT_EQ(io::workload_from_name("be64"), Workload::Be64);
-  EXPECT_EQ(io::workload_from_name("NiO-64"), Workload::NiO64);
+  // A workload name is its spec's "name" or file stem, in any case.
+  for (const PaperWorkload& row : paper_workloads)
+  {
+    const std::string name = workload_spec(row.id).name;
+    const std::string stem = std::filesystem::path(row.spec_file).stem().string();
+    std::string shout = name;
+    for (char& c : shout)
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    for (const std::string& s : {name, stem, shout})
+      EXPECT_EQ(io::workload_from_name(s), row.id) << s;
+  }
+  EXPECT_THROW((void)io::workload_from_name("graphite-32"), std::runtime_error);
   EXPECT_EQ(io::variant_from_name("Ref+MP"), EngineVariant::RefMP);
   EXPECT_EQ(io::variant_from_name("CurrentDP"), EngineVariant::CurrentDP);
 }

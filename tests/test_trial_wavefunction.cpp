@@ -13,16 +13,11 @@ using namespace qmcxx;
 namespace
 {
 
-WorkloadInfo small_workload()
+SystemSpec small_workload()
 {
-  WorkloadInfo w;
+  SystemSpec w;
   w.name = "small";
-  w.id = Workload::Graphite;
   w.num_electrons = 12;
-  w.num_ions = 2;
-  w.ions_per_unit_cell = 2;
-  w.num_unit_cells = 1;
-  w.ion_types = "X(6)";
   w.has_pseudopotential = true;
   w.grid = {10, 10, 10};
   w.num_orbitals = 6;

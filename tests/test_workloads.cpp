@@ -1,50 +1,74 @@
-// Unit tests: the four benchmark workload definitions must match the
-// paper's Table 1 invariants and produce physically sane geometries.
+// Unit tests: every committed spec file (specs/*.json, hand-edited
+// source) must describe a physically sane geometry, and the paper's
+// Table 1 columns beside the four paper specs must match them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "config/config.h"
+#include "io/job_spec.h"
+#include "test_utils.h"
 #include "workloads/workloads.h"
 
 using namespace qmcxx;
+using namespace qmcxx::testing;
 
-class WorkloadTable1 : public ::testing::TestWithParam<Workload>
+namespace
+{
+
+SystemSpec load(const std::string& path)
+{
+  return io::parse_system_spec(io::read_text_file(path), path);
+}
+
+std::string stem(const std::string& path)
+{
+  return std::filesystem::path(path).stem().string();
+}
+
+} // namespace
+
+class SpecGeometry : public ::testing::TestWithParam<std::string> // spec file path
 {};
 
-TEST_P(WorkloadTable1, ElectronCountMatchesIonCharges)
+TEST_P(SpecGeometry, ElectronCountMatchesIonCharges)
 {
-  const WorkloadInfo& w = workload_info(GetParam());
+  const SystemSpec s = load(GetParam());
   double total_charge = 0;
-  for (std::size_t s = 0; s < w.species.size(); ++s)
-    total_charge += w.species[s].charge * w.ion_counts[s];
-  EXPECT_EQ(w.num_electrons, static_cast<int>(total_charge)) << w.name;
+  for (std::size_t k = 0; k < s.species.size(); ++k)
+    total_charge += s.species[k].charge * s.ion_counts[k];
+  EXPECT_EQ(s.num_electrons, static_cast<int>(total_charge)) << s.name;
 }
 
-TEST_P(WorkloadTable1, IonCountsConsistent)
+TEST_P(SpecGeometry, IonCountsConsistent)
 {
-  const WorkloadInfo& w = workload_info(GetParam());
+  const SystemSpec s = load(GetParam());
+  ASSERT_EQ(s.ion_counts.size(), s.species.size());
   int total = 0;
-  for (int c : w.ion_counts)
-    total += c;
-  EXPECT_EQ(total, w.num_ions);
-  EXPECT_EQ(static_cast<int>(w.ion_positions.size()), w.num_ions);
-  EXPECT_EQ(w.num_ions, w.ions_per_unit_cell * w.num_unit_cells);
-}
-
-TEST_P(WorkloadTable1, OrbitalsAreHalfTheElectrons)
-{
-  const WorkloadInfo& w = workload_info(GetParam());
-  EXPECT_EQ(w.num_orbitals, w.num_electrons / 2);
-}
-
-TEST_P(WorkloadTable1, IonsInsideCellAndSeparated)
-{
-  const WorkloadInfo& w = workload_info(GetParam());
-  // All ions fold into the unit cube.
-  for (const auto& r : w.ion_positions)
+  for (int c : s.ion_counts)
   {
-    const auto u = w.lattice.to_unit_folded(r);
+    EXPECT_GT(c, 0) << s.name;
+    total += c;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(total), s.ion_positions.size()) << s.name;
+}
+
+TEST_P(SpecGeometry, OrbitalsFillTheLargerSpinDeterminant)
+{
+  const SystemSpec s = load(GetParam());
+  EXPECT_GE(s.num_orbitals, (s.num_electrons + 1) / 2) << s.name;
+}
+
+TEST_P(SpecGeometry, IonsInsideCellAndSeparated)
+{
+  const SystemSpec s = load(GetParam());
+  // All ions fold into the unit cube.
+  for (const auto& r : s.ion_positions)
+  {
+    const auto u = s.lattice.to_unit_folded(r);
     for (unsigned d = 0; d < 3; ++d)
     {
       EXPECT_GE(u[d], 0.0);
@@ -53,83 +77,108 @@ TEST_P(WorkloadTable1, IonsInsideCellAndSeparated)
   }
   // No two ions closer than 1.5 bohr (minimum image).
   double min_dist = 1e9;
-  for (std::size_t i = 0; i < w.ion_positions.size(); ++i)
-    for (std::size_t j = i + 1; j < w.ion_positions.size(); ++j)
+  for (std::size_t i = 0; i < s.ion_positions.size(); ++i)
+    for (std::size_t j = i + 1; j < s.ion_positions.size(); ++j)
       min_dist = std::min(min_dist,
-                          norm(w.lattice.min_image(w.ion_positions[j] - w.ion_positions[i])));
-  EXPECT_GT(min_dist, 1.5) << w.name;
+                          norm(s.lattice.min_image(s.ion_positions[j] - s.ion_positions[i])));
+  EXPECT_GT(min_dist, 1.5) << s.name;
 }
 
-TEST_P(WorkloadTable1, JastrowCutoffsFitTheCell)
+TEST_P(SpecGeometry, CutoffsInsideWignerSeitzRadius)
 {
-  const WorkloadInfo& w = workload_info(GetParam());
-  EXPECT_GT(w.lattice.wigner_seitz_radius(), 1.5);
-  for (const auto& sp : w.species)
+  const SystemSpec s = load(GetParam());
+  EXPECT_GT(s.lattice.wigner_seitz_radius(), 1.5);
+  for (const auto& sp : s.species)
   {
     EXPECT_GT(sp.j1_width, 0);
     if (sp.nl_amplitude != 0)
     {
-      EXPECT_LT(sp.nl_rcut, w.lattice.wigner_seitz_radius());
+      EXPECT_LT(sp.nl_rcut, s.lattice.wigner_seitz_radius()) << s.name << " " << sp.name;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadTable1,
-                         ::testing::Values(Workload::Graphite, Workload::Be64, Workload::NiO32,
-                                           Workload::NiO64),
-                         [](const ::testing::TestParamInfo<Workload>& pinfo) {
-                           switch (pinfo.param)
-                           {
-                           case Workload::Graphite: return std::string("Graphite");
-                           case Workload::Be64: return std::string("Be64");
-                           case Workload::NiO32: return std::string("NiO32");
-                           default: return std::string("NiO64");
-                           }
+INSTANTIATE_TEST_SUITE_P(CommittedSpecs, SpecGeometry,
+                         ::testing::ValuesIn(committed_spec_paths()),
+                         [](const ::testing::TestParamInfo<std::string>& pinfo) {
+                           std::string name = stem(pinfo.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 TEST(Workloads, PaperTable1Values)
 {
-  // Pin the exact Table 1 metadata the benches print.
-  const auto& g = workload_info(Workload::Graphite);
-  EXPECT_EQ(g.num_electrons, 256);
-  EXPECT_EQ(g.num_ions, 64);
-  EXPECT_EQ(g.paper_unique_spos, 80);
-  const auto& be = workload_info(Workload::Be64);
-  EXPECT_EQ(be.num_electrons, 256);
-  EXPECT_FALSE(be.has_pseudopotential);
-  const auto& n32 = workload_info(Workload::NiO32);
-  EXPECT_EQ(n32.num_electrons, 384);
-  EXPECT_EQ(n32.num_ions, 32);
-  EXPECT_EQ(n32.species[0].charge, 18.0); // Ni
-  EXPECT_EQ(n32.species[1].charge, 6.0);  // O
-  const auto& n64 = workload_info(Workload::NiO64);
-  EXPECT_EQ(n64.num_electrons, 768);
-  EXPECT_EQ(n64.num_ions, 64);
-  EXPECT_DOUBLE_EQ(n64.paper_spline_gb, 2.1);
+  // Pin Table 1: the paper-only columns of the table beside the enum,
+  // and the columns the committed specs give. The two sources must
+  // agree: cells times ions per cell is the ion count, and the ion
+  // types are the species with their valence charges.
+  struct Row
+  {
+    Workload w;
+    const char* name;
+    int electrons;
+    std::size_t ions;
+    int ions_per_cell;
+    int cells;
+    const char* ion_types;
+    int unique_spos;
+    const char* fft_grid;
+    double spline_gb;
+    bool pseudopotential;
+  };
+  const Row rows[] = {
+      {Workload::Graphite, "Graphite", 256, 64, 4, 16, "C(4)", 80, "28x28x80", 0.1, true},
+      {Workload::Be64, "Be-64", 256, 64, 2, 32, "Be(4)", 81, "84x84x144", 1.4, false},
+      {Workload::NiO32, "NiO-32", 384, 32, 4, 8, "Ni(18), O(6)", 144, "80x80x80", 1.3, true},
+      {Workload::NiO64, "NiO-64", 768, 64, 4, 16, "Ni(18), O(6)", 240, "80x80x80", 2.1, true},
+  };
+  for (const Row& r : rows)
+  {
+    const PaperWorkload& p = paper_workload(r.w);
+    const SystemSpec s = workload_spec(r.w);
+    EXPECT_EQ(s.name, r.name);
+    EXPECT_EQ(s.num_electrons, r.electrons) << r.name;
+    EXPECT_EQ(s.ion_positions.size(), r.ions) << r.name;
+    EXPECT_EQ(s.has_pseudopotential, r.pseudopotential) << r.name;
+    EXPECT_EQ(p.ions_per_unit_cell, r.ions_per_cell) << r.name;
+    EXPECT_EQ(p.num_unit_cells, r.cells) << r.name;
+    EXPECT_STREQ(p.ion_types, r.ion_types) << r.name;
+    EXPECT_EQ(p.unique_spos, r.unique_spos) << r.name;
+    EXPECT_STREQ(p.fft_grid, r.fft_grid) << r.name;
+    EXPECT_EQ(p.spline_gb, r.spline_gb) << r.name;
+    EXPECT_EQ(s.ion_positions.size(),
+              static_cast<std::size_t>(p.ions_per_unit_cell * p.num_unit_cells))
+        << r.name;
+    std::string types;
+    for (const IonSpecies& sp : s.species)
+      types += (types.empty() ? "" : ", ") + sp.name + "(" +
+          std::to_string(static_cast<int>(sp.charge)) + ")";
+    EXPECT_EQ(types, p.ion_types) << r.name;
+  }
 }
 
 TEST(Workloads, NiOIsRocksalt)
 {
   // Every Ni must have O as nearest neighbours at a0/2.
-  const auto& w = workload_info(Workload::NiO32);
-  const int n_ni = w.ion_counts[0];
+  const SystemSpec s = workload_spec(Workload::NiO32);
+  const int n_ni = s.ion_counts[0];
   const double a_half = 7.89 / 2.0;
   for (int i = 0; i < n_ni; ++i)
   {
     double nearest_o = 1e9;
-    for (int j = n_ni; j < w.num_ions; ++j)
+    for (std::size_t j = n_ni; j < s.ion_positions.size(); ++j)
       nearest_o = std::min(nearest_o,
-                           norm(w.lattice.min_image(w.ion_positions[j] - w.ion_positions[i])));
+                           norm(s.lattice.min_image(s.ion_positions[j] - s.ion_positions[i])));
     EXPECT_NEAR(nearest_o, a_half, 1e-9) << i;
   }
 }
 
 TEST(Workloads, HexagonalCellsForGraphiteAndBe)
 {
-  EXPECT_FALSE(workload_info(Workload::Graphite).lattice.orthorhombic());
-  EXPECT_FALSE(workload_info(Workload::Be64).lattice.orthorhombic());
-  EXPECT_TRUE(workload_info(Workload::NiO32).lattice.orthorhombic());
-  EXPECT_TRUE(workload_info(Workload::NiO64).lattice.orthorhombic());
+  EXPECT_FALSE(workload_spec(Workload::Graphite).lattice.orthorhombic());
+  EXPECT_FALSE(workload_spec(Workload::Be64).lattice.orthorhombic());
+  EXPECT_TRUE(workload_spec(Workload::NiO32).lattice.orthorhombic());
+  EXPECT_TRUE(workload_spec(Workload::NiO64).lattice.orthorhombic());
 }
 
 TEST(Workloads, SplineTableOrderingMatchesPaper)
@@ -137,9 +186,9 @@ TEST(Workloads, SplineTableOrderingMatchesPaper)
   // The paper's spline tables order Graphite < NiO-32 ~ Be-64 < NiO-64;
   // the scaled qmcxx grids preserve Graphite smallest / NiO-64 largest.
   auto bytes = [](Workload w) {
-    const auto& i = workload_info(w);
-    return static_cast<std::size_t>(i.grid[0] + 3) * (i.grid[1] + 3) * (i.grid[2] + 3) *
-        getAlignedSize<float>(i.num_orbitals);
+    const SystemSpec s = workload_spec(w);
+    return static_cast<std::size_t>(s.grid[0] + 3) * (s.grid[1] + 3) * (s.grid[2] + 3) *
+        getAlignedSize<float>(s.num_orbitals);
   };
   EXPECT_LT(bytes(Workload::Graphite), bytes(Workload::Be64));
   EXPECT_LT(bytes(Workload::Graphite), bytes(Workload::NiO32));

@@ -4,8 +4,11 @@
 # server mid-run, resume, and require (a) clean retirement of all jobs
 # and (b) streamed "generation" records identical to an uninterrupted
 # reference run -- the serving-path form of the exact-resume guarantee.
-# The reference run also serves a job whose file name holds double
-# quotes, and every streamed line must parse as JSON.
+# A fourth job is SIGKILLed between two checkpoints and resumed; its
+# stream must then equal the reference run's line for line, with no
+# generation streamed twice. The reference run also serves a job whose
+# file name holds double quotes, and every streamed line must parse as
+# JSON.
 #
 #   usage: tools/ci/server_smoke.sh BUILD_DIR
 set -euo pipefail
@@ -18,6 +21,7 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 SPOOL="$WORK/spool"
 REF="$WORK/ref"
+KILL="$WORK/kill"
 mkdir -p "$SPOOL" "$REF"
 
 # Job 1: a 12-step Graphite VMC chain, checkpointed every generation so
@@ -38,12 +42,20 @@ JOB3='{ "workload": "Graphite", "variant": "currentdp", "precision": "single", "
   "driver": { "steps": 3, "num_walkers": 3, "seed": 42, "num_threads": 1,
               "crowd_size": 4, "checkpoint_every": 1,
               "drift_tolerance": 1e-3, "drift_sample_rows": 2 } }'
+# Job 4 checkpoints every 4 generations. QMCDriver streams generation g
+# before it checkpoints at g + 1, so a SIGKILL while the record count is
+# not a multiple of 4 leaves records past the last snapshot.
+EVERY=4
+JOB4='{ "workload": "Graphite", "variant": "current", "dmc": true,
+  "driver": { "steps": 12, "num_walkers": 4, "seed": 4242, "num_threads": 1,
+              "crowd_size": 4, "checkpoint_every": '$EVERY' } }'
 echo "$JOB1" > "$SPOOL/job1.json"
 echo "$JOB2" > "$SPOOL/job2.json"
 echo "$JOB3" > "$SPOOL/job3.json"
 echo "$JOB1" > "$REF/job1.json"
 echo "$JOB2" > "$REF/job2.json"
 echo "$JOB3" > "$REF/job3.json"
+echo "$JOB4" > "$REF/job4.json"
 # The job name is the file stem, and it is streamed in every record.
 QUOTED='say "hi"'
 echo "$JOB3" > "$REF/$QUOTED.json"
@@ -51,7 +63,7 @@ echo "$JOB3" > "$REF/$QUOTED.json"
 echo "server_smoke: reference run"
 "$SERVER" --spool "$REF" --once
 [ -f "$REF/job1.json.done" ] && [ -f "$REF/job2.json.done" ] && [ -f "$REF/job3.json.done" ] \
-  && [ -f "$REF/$QUOTED.json.done" ] \
+  && [ -f "$REF/job4.json.done" ] && [ -f "$REF/$QUOTED.json.done" ] \
   || { echo "server_smoke: reference run did not retire all jobs" >&2; exit 1; }
 
 echo "server_smoke: interrupted run"
@@ -112,9 +124,46 @@ for job in job1 job2 job3; do
   fi
 done
 
+echo "server_smoke: SIGKILL between checkpoints"
+# Kill only while the record count is not a multiple of EVERY; a kill
+# that races past a record boundary onto a checkpoint is retried from a
+# fresh spool.
+killed=0
+for _ in 1 2 3 4 5; do
+  rm -rf "$KILL"
+  mkdir -p "$KILL"
+  echo "$JOB4" > "$KILL/job4.json"
+  "$SERVER" --spool "$KILL" --once &
+  SERVER_PID=$!
+  for _ in $(seq 1 2000); do
+    n=$(grep -c '"generation"' "$KILL/job4.json.stream" 2>/dev/null || true)
+    if [ "${n:-0}" -gt "$EVERY" ] && [ $((n % EVERY)) -ne 0 ]; then
+      kill -KILL "$SERVER_PID"
+      break
+    fi
+    kill -0 "$SERVER_PID" 2>/dev/null || break
+    sleep 0.01
+  done
+  wait "$SERVER_PID" 2>/dev/null || true
+  n=$(grep -c '"generation"' "$KILL/job4.json.stream" 2>/dev/null || true)
+  if [ -f "$KILL/job4.json" ] && [ -f "$KILL/job4.json.snap" ] && [ $((n % EVERY)) -ne 0 ]; then
+    killed=1
+    break
+  fi
+done
+[ "$killed" -eq 1 ] || { echo "server_smoke: could not SIGKILL job4 between checkpoints" >&2; exit 1; }
+echo "server_smoke: killed job4 after $n streamed generations"
+"$SERVER" --spool "$KILL" --once
+[ -f "$KILL/job4.json.done" ] || { echo "server_smoke: job4 did not finish after SIGKILL" >&2; exit 1; }
+if ! diff <(grep '"generation"' "$KILL/job4.json.stream") \
+          <(grep '"generation"' "$REF/job4.json.stream"); then
+  echo "server_smoke: job4's stream after SIGKILL + resume differs from the reference" >&2
+  exit 1
+fi
+
 # Every streamed line is one JSON record naming its job, quotes in the
 # file name included.
-python3 - "$REF" "$SPOOL" <<'EOF'
+python3 - "$REF" "$SPOOL" "$KILL" <<'EOF'
 import glob, json, os, sys
 for d in sys.argv[1:]:
     for path in sorted(glob.glob(os.path.join(d, "*.json.stream"))):
@@ -129,4 +178,4 @@ for d in sys.argv[1:]:
                     sys.exit(f"server_smoke: {path}:{n} names job {rec.get('job')!r}, not {job!r}")
 EOF
 
-echo "server_smoke: OK (SIGTERM checkpoint + resume, streams bitwise-identical)"
+echo "server_smoke: OK (SIGTERM and SIGKILL resume, streams bitwise-identical)"

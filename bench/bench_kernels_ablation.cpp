@@ -153,38 +153,6 @@ void bm_bspline_v(benchmark::State& state)
 }
 
 template<typename TR>
-void bm_bspline_vgh_tiled(benchmark::State& state)
-{
-  // AoSoA tiling (paper Sec. 8.4 extension): tile width from the arg.
-  const int tile = static_cast<int>(state.range(0));
-  MultiBsplineTiled<TR> tiled;
-  tiled.resize(kGrid, kGrid, kGrid, kNorb, tile);
-  {
-    MultiBspline3D<TR> tmp; // reuse the synthetic generator, then copy
-    fill_synthetic_orbitals<TR>(tmp, kGrid, kGrid, kGrid, kNorb, 3);
-    for (int s = 0; s < kNorb; ++s)
-      for (int ix = 0; ix < kGrid; ++ix)
-        for (int iy = 0; iy < kGrid; ++iy)
-          for (int iz = 0; iz < kGrid; ++iz)
-            tiled.set_coef(s, ix, iy, iz, tmp.get_coef(s, ix, iy, iz));
-  }
-  const std::size_t np = getAlignedSize<TR>(kNorb);
-  aligned_vector<TR> v(np), g(3 * np), h(6 * np);
-  SplineVGHResult<TR> out{v.data(),
-                          {&g[0], &g[np], &g[2 * np]},
-                          {&h[0], &h[np], &h[2 * np], &h[3 * np], &h[4 * np], &h[5 * np]}};
-  RandomGenerator rng(5);
-  for (auto _ : state)
-  {
-    const TR u[3] = {static_cast<TR>(rng.uniform()), static_cast<TR>(rng.uniform()),
-                     static_cast<TR>(rng.uniform())};
-    tiled.evaluate_vgh(u, out);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kNorb);
-}
-
-template<typename TR>
 void bm_sherman_morrison(benchmark::State& state)
 {
   const int n = static_cast<int>(state.range(0));
@@ -310,11 +278,6 @@ BENCHMARK_TEMPLATE(bm_bspline_vgh, double, false)->Name("Bspline-vgh/AoS-double"
 BENCHMARK_TEMPLATE(bm_bspline_vgh, float, false)->Name("Bspline-vgh/AoS-float");
 BENCHMARK_TEMPLATE(bm_bspline_vgh, double, true)->Name("Bspline-vgh/SoA-double");
 BENCHMARK_TEMPLATE(bm_bspline_vgh, float, true)->Name("Bspline-vgh/SoA-float");
-BENCHMARK_TEMPLATE(bm_bspline_vgh_tiled, float)
-    ->Name("Bspline-vgh/AoSoA-tiled-float")
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64);
 BENCHMARK_TEMPLATE(bm_sherman_morrison, double)->Name("DetUpdate/SM-double")->Arg(192);
 BENCHMARK_TEMPLATE(bm_sherman_morrison, float)->Name("DetUpdate/SM-float")->Arg(192);
 BENCHMARK(bm_forward_vs_onthefly)

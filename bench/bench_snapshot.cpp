@@ -1,10 +1,7 @@
 // Snapshot (qmcxx-snap-v1) micro-bench: serialized bytes per walker and
-// write/read bandwidth for the checkpoint path, with and without the
-// PooledBuffer payload (the recompute flag). The per-walker byte count
-// is the same number the paper's Fig. 4 memory discussion tracks -- the
-// anonymous buffer dominates, which is why the recompute flag shrinks
-// checkpoints by an order of magnitude at the cost of a non-bitwise
-// resume.
+// write/read bandwidth for the checkpoint path. The per-walker byte
+// count is the same number the paper's Fig. 4 memory discussion tracks
+// -- the anonymous buffer dominates it.
 //
 //   ./bench_snapshot            # Graphite + NiO-64, Current engine
 //
@@ -82,24 +79,14 @@ int main()
     driver.initialize_population();
     (void)driver.run_vmc();
 
-    const io::PopulationSnapshot full =
-        driver.capture_snapshot(cfg.steps, io::ChainKind::VMC, /*store_buffers=*/true);
-    const io::PopulationSnapshot slim =
-        driver.capture_snapshot(cfg.steps, io::ChainKind::VMC, /*store_buffers=*/false);
-    const SnapStats fs = measure(full, path, reps);
-    const SnapStats ss = measure(slim, path, reps);
+    const SnapStats fs =
+        measure(driver.capture_snapshot(cfg.steps, io::ChainKind::VMC), path, reps);
 
     const double per_walker = static_cast<double>(fs.payload_bytes) / walkers;
-    const double per_walker_slim = static_cast<double>(ss.payload_bytes) / walkers;
     std::printf("\n%-8s (%d walkers, %d electrons)\n", info.name.c_str(), walkers,
                 info.num_electrons);
-    std::printf("  with buffers:    %9zu B payload  (%8.0f B/walker)  write %7.1f MB/s  "
-                "read %7.1f MB/s\n",
+    std::printf("  %9zu B payload  (%8.0f B/walker)  write %7.1f MB/s  read %7.1f MB/s\n",
                 fs.payload_bytes, per_walker, fs.write_mbps, fs.read_mbps);
-    std::printf("  recompute flag:  %9zu B payload  (%8.0f B/walker)  write %7.1f MB/s  "
-                "(%.1fx smaller)\n",
-                ss.payload_bytes, per_walker_slim, ss.write_mbps,
-                static_cast<double>(fs.payload_bytes) / static_cast<double>(ss.payload_bytes));
 
     json.add_kernel_record(info.name, "Current");
     json.add_metric("num_walkers", walkers);
@@ -107,10 +94,6 @@ int main()
     json.add_metric("per_walker_bytes", per_walker);
     json.add_metric("write_MBps", fs.write_mbps);
     json.add_metric("read_MBps", fs.read_mbps);
-    json.add_metric("snapshot_bytes_recompute", static_cast<double>(ss.payload_bytes));
-    json.add_metric("per_walker_bytes_recompute", per_walker_slim);
-    json.add_metric("write_MBps_recompute", ss.write_mbps);
-    json.add_metric("read_MBps_recompute", ss.read_mbps);
   }
 
   json.write();

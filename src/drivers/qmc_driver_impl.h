@@ -40,10 +40,12 @@ namespace detail
 {
 
 /// Umrigar drift limiting: keeps the drift step bounded near nodes.
+/// A non-finite |grad|^2 (a NaN or overflowing gradient) gives zero
+/// drift, so the proposal stays a finite gaussian step.
 inline TinyVector<double, 3> limited_drift(const TinyVector<double, 3>& grad, double tau)
 {
   const double v2 = dot(grad, grad);
-  if (v2 < 1e-300)
+  if (v2 < 1e-300 || !std::isfinite(v2))
     return TinyVector<double, 3>{};
   const double tau_eff = (-1.0 + std::sqrt(1.0 + 2.0 * tau * v2)) / v2;
   return tau_eff * grad;
@@ -273,14 +275,13 @@ void QMCDriver<TR>::initialize_population()
 }
 
 template<typename TR>
-io::PopulationSnapshot QMCDriver<TR>::capture_snapshot(int next_generation, io::ChainKind kind,
-                                                       bool store_buffers) const
+io::PopulationSnapshot QMCDriver<TR>::capture_snapshot(int next_generation,
+                                                       io::ChainKind kind) const
 {
   io::PopulationSnapshot snap;
   snap.precision_bytes = sizeof(TR);
   snap.workload_fingerprint = config_.checkpoint_fingerprint;
   snap.kind = kind;
-  snap.buffers_stored = store_buffers;
   snap.generation = static_cast<std::uint64_t>(next_generation);
   snap.master_seed = config_.seed;
   snap.tau = config_.tau;
@@ -302,8 +303,7 @@ io::PopulationSnapshot QMCDriver<TR>::capture_snapshot(int next_generation, io::
     ws.age = w.age;
     ws.rng = pop_.rngs[iw].save_state();
     ws.R = w.R;
-    if (store_buffers)
-      ws.buffer.assign(w.buffer.data(), w.buffer.data() + w.buffer.size());
+    ws.buffer.assign(w.buffer.data(), w.buffer.data() + w.buffer.size());
     snap.walkers.push_back(std::move(ws));
   }
   return snap;
@@ -340,30 +340,11 @@ void QMCDriver<TR>::restore_snapshot(const io::PopulationSnapshot& snap)
     w->log_psi = ws.log_psi;
     w->id = ws.id;
     w->parent_id = ws.parent_id;
-    if (snap.buffers_stored)
-      w->buffer.assign(ws.buffer.data(), ws.buffer.size());
+    w->buffer.assign(ws.buffer.data(), ws.buffer.size());
     RandomGenerator rng;
     rng.restore_state(ws.rng);
     walkers.push_back(std::move(w));
     rngs.push_back(rng);
-  }
-  if (!snap.buffers_stored)
-  {
-    // The recompute flag: registration layout and contents are rebuilt
-    // from scratch against slot 0's clones. Statistically equivalent
-    // to the stored-buffer path, but not bitwise (from-scratch inverses
-    // differ from incrementally updated ones in the low bits).
-    Crowd<TR>& crowd = *crowds_.front();
-    ParticleSet<TR>& elec = crowd.elec(0);
-    TrialWaveFunction<TR>& twf = crowd.twf(0);
-    for (auto& w : walkers)
-    {
-      elec.load_walker(*w);
-      elec.update();
-      twf.evaluate_log(elec);
-      twf.register_data(w->buffer);
-      twf.update_buffer(*w);
-    }
   }
   pop_.walkers = std::move(walkers);
   pop_.rngs = std::move(rngs);

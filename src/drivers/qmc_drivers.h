@@ -205,18 +205,15 @@ public:
   /// Serialize the complete chain state at a generation barrier:
   /// population (positions, bookkeeping, lineage, buffers), per-walker
   /// RNG streams, branch stream, trial energy, and the absolute index
-  /// of the next generation to run. With store_buffers = false the
-  /// PooledBuffer bytes are dropped and the snapshot records the
-  /// recompute flag (smaller file, statistically equivalent resume).
+  /// of the next generation to run.
   [[nodiscard]] io::PopulationSnapshot capture_snapshot(int next_generation,
-                                                        io::ChainKind kind,
-                                                        bool store_buffers = true) const;
+                                                        io::ChainKind kind) const;
 
   /// Replace the population with a snapshot's (instead of
   /// initialize_population). Validates compatibility first and offers
   /// the strong guarantee: on any throw the driver is untouched.
   /// Subsequent run_vmc/run_dmc continues the chain at the snapshot's
-  /// generation counter, bitwise-exact when buffers were stored.
+  /// generation counter, bitwise-exact.
   void restore_snapshot(const io::PopulationSnapshot& snap);
 
 private:

@@ -9,16 +9,14 @@
 //                 (substitution for the workloads' norm-conserving
 //                 pseudopotential local channels, see DESIGN.md)
 //
-// When built with a distance-table index (the system builder always
-// passes one), the real-space pair sums consume the committed
+// CoulombEE and CoulombEI take the index of their distance table in the
+// electron set: the real-space pair sums consume the committed
 // unit-stride table rows -- the same minimum-image distances the rest
 // of the engine uses -- so the erfc loops vectorize and no AoS position
 // vector is rebuilt per measurement. The reciprocal-space parts share
 // one electron structure factor rho_e(k) per configuration
 // (electron_rho), summed from the canonical SoA rows by the vectorized
-// EwaldSum::structure_factor and cached in the electron set. Without a
-// table index (standalone unit tests) the components fall back to the
-// pure position-based EwaldSum entry points.
+// EwaldSum::structure_factor and cached in the electron set.
 #ifndef QMCXX_HAMILTONIAN_COULOMB_H
 #define QMCXX_HAMILTONIAN_COULOMB_H
 
@@ -60,8 +58,8 @@ class CoulombEE : public HamiltonianComponent<TR>
 {
 public:
   /// table_ee: index of the electron-electron AA table in the electron
-  /// set; -1 selects the position-based fallback path.
-  explicit CoulombEE(const Lattice& lattice, int table_ee = -1)
+  /// set.
+  explicit CoulombEE(const Lattice& lattice, int table_ee)
       : ewald_(std::make_shared<EwaldSum>(lattice)), table_ee_(table_ee)
   {}
 
@@ -74,13 +72,6 @@ public:
     const int n = p.size();
     if (charges_.size() != static_cast<std::size_t>(n))
       charges_.assign(n, -1.0);
-    if (table_ee_ < 0)
-    {
-      // Standalone fallback without a distance table (unit tests): the
-      // AoS scatter is off the driver hot path by construction.
-      // qmcxx-lint: allow(aos-in-hot-path)
-      return ewald_->energy(p.positions(), charges_);
-    }
     // Real-space pair sum over the committed AA rows: every electron
     // pair carries q_i q_j = 1, each row is unit-stride (Sec. 7.4).
     const auto& dt = p.table(table_ee_);
@@ -144,14 +135,9 @@ class CoulombEI : public HamiltonianComponent<TR>
 public:
   /// r_core per ion species (0 disables the core regularization, giving
   /// the bare -Z/r of an all-electron calculation like Be-64).
-  /// table_ei: index of the electron-ion AB table in the electron set;
-  /// -1 selects the position-based fallback path.
-  CoulombEI(const ParticleSet<TR>& ions, const std::vector<double>& r_core, int table_ei = -1)
-      : ewald_(std::make_shared<EwaldSum>(ions.lattice())),
-        table_ei_(table_ei),
-        // Construction-time ion snapshot (ions never move).
-        // qmcxx-lint: allow(aos-in-hot-path)
-        ion_pos_(ions.positions())
+  /// table_ei: index of the electron-ion AB table in the electron set.
+  CoulombEI(const ParticleSet<TR>& ions, const std::vector<double>& r_core, int table_ei)
+      : ewald_(std::make_shared<EwaldSum>(ions.lattice())), table_ei_(table_ei)
   {
     ion_charge_.resize(ions.size());
     ion_rc_.resize(ions.size());
@@ -160,9 +146,11 @@ public:
       ion_charge_[i] = ions.species(ions.group_id(i)).charge;
       ion_rc_[i] = r_core[ions.group_id(i)];
     }
-    // Ions never move: their k-space structure factor is a constant.
+    // Ions never move: their k-space structure factor is a constant,
+    // computed once at construction (not a hot path).
     ion_factors_ = std::make_shared<EwaldSum::FixedSetFactors>(
-        ewald_->precompute_fixed_set(ion_pos_, ion_charge_));
+        // qmcxx-lint: allow(aos-in-hot-path)
+        ewald_->precompute_fixed_set(ions.positions(), ion_charge_));
   }
 
   std::string name() const override { return "CoulombEI"; }
@@ -172,15 +160,11 @@ public:
     (void)twf;
     ScopedTimer timer(Kernel::Other);
     const int n = p.size();
-    if (elec_charge_.size() != static_cast<std::size_t>(n))
-      elec_charge_.assign(n, -1.0);
-    if (table_ei_ < 0)
-      return evaluate_from_positions(p);
     // Real-space Ewald cross term and core correction from the
     // committed electron-ion rows (unit-stride per electron).
     const auto& dt = p.table(table_ei_);
     const EwaldSum& ew = *ewald_;
-    const int m = static_cast<int>(ion_pos_.size());
+    const int m = static_cast<int>(ion_charge_.size());
     const double* __restrict zq = ion_charge_.data();
     const double* __restrict rc = ion_rc_.data();
     FullPrecReal e_real = 0.0, e_core = 0.0;
@@ -213,40 +197,11 @@ public:
   }
 
 private:
-  /// Fallback for standalone construction without a distance table.
-  double evaluate_from_positions(ParticleSet<TR>& p)
-  {
-    // Standalone fallback without a distance table (unit tests): the
-    // AoS scatter is off the driver hot path by construction.
-    // qmcxx-lint: allow(aos-in-hot-path)
-    const auto& r_elec = p.positions();
-    FullPrecReal e = ewald_->interaction_energy_cached(r_elec, elec_charge_, *ion_factors_);
-    // Short-range core correction: -Z/r -> -Z erf(r/rc)/r, i.e. add
-    // +Z erfc(r/rc)/r for electrons near the core (charge of electron
-    // is -1, so the pair term is -(-1) Z erfc/r).
-    const Lattice& lat = p.lattice();
-    for (std::size_t a = 0; a < ion_pos_.size(); ++a)
-    {
-      const FullPrecReal rc = ion_rc_[a];
-      if (rc <= 0)
-        continue;
-      for (std::size_t i = 0; i < r_elec.size(); ++i)
-      {
-        const FullPrecReal r = norm(lat.min_image(ion_pos_[a] - r_elec[i]));
-        if (r < 6.0 * rc)
-          e += ion_charge_[a] * std::erfc(r / rc) / r;
-      }
-    }
-    return e;
-  }
-
   std::shared_ptr<EwaldSum> ewald_;
   std::shared_ptr<EwaldSum::FixedSetFactors> ion_factors_; // shared read-only
   int table_ei_;
-  std::vector<TinyVector<double, 3>> ion_pos_;
   std::vector<double> ion_charge_;
   std::vector<double> ion_rc_; ///< per-ion core radius (gathered once)
-  std::vector<double> elec_charge_;
 };
 
 } // namespace qmcxx

@@ -222,8 +222,6 @@ EwaldSum::FixedSetFactors EwaldSum::precompute_fixed_set(const std::vector<Pos>&
                                                          const std::vector<double>& qb) const
 {
   FixedSetFactors out;
-  out.positions = rb;
-  out.charges = qb;
   for (double q : qb)
     out.q_sum += q;
   PhaseTables tb;
@@ -239,17 +237,6 @@ EwaldSum::FixedSetFactors EwaldSum::precompute_fixed_set(const std::vector<Pos>&
     out.rho_im[kk] = rho.imag();
   }
   return out;
-}
-
-double EwaldSum::interaction_energy_cached(const std::vector<Pos>& ra,
-                                           const std::vector<double>& qa,
-                                           const FixedSetFactors& fixed) const
-{
-  double e_real = 0.0;
-  for (std::size_t i = 0; i < ra.size(); ++i)
-    for (std::size_t j = 0; j < fixed.positions.size(); ++j)
-      e_real += qa[i] * fixed.charges[j] * real_space_pair(ra[i], fixed.positions[j]);
-  return e_real + interaction_kspace_cached(ra, qa, fixed);
 }
 
 double EwaldSum::interaction_kspace_cached(const std::vector<Pos>& ra,

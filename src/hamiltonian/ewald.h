@@ -82,20 +82,13 @@ public:
   {
     std::vector<double> rho_re, rho_im;
     double q_sum = 0.0;
-    std::vector<Pos> positions;
-    std::vector<double> charges;
   };
   FixedSetFactors precompute_fixed_set(const std::vector<Pos>& rb,
                                        const std::vector<double>& qb) const;
 
-  /// interaction_energy with the B-set structure factor cached; only the
-  /// A-set (electron) phases are rebuilt per call.
-  double interaction_energy_cached(const std::vector<Pos>& ra, const std::vector<double>& qa,
-                                   const FixedSetFactors& fixed) const;
-
-  /// Reciprocal + background cross terms of interaction_energy_cached
-  /// alone; callers supply the real-space pair sum from distance-table
-  /// rows via real_space_term().
+  /// Reciprocal + background cross terms of interaction_energy with the
+  /// B-set structure factor cached; callers supply the real-space pair
+  /// sum from distance-table rows via real_space_term().
   double interaction_kspace_cached(const std::vector<Pos>& ra, const std::vector<double>& qa,
                                    const FixedSetFactors& fixed) const;
 

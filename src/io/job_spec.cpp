@@ -323,6 +323,11 @@ void parse_species_entry(Parser& p, SystemSpec& s)
     p.fail("species entry is missing \"name\"");
   if (count < 1)
     p.fail("species '" + sp.name + "' needs a positive \"count\"");
+  // Zero widths make the Gaussian J1 and NLPP shapes 0/0 at r = 0.
+  if (!(sp.j1_width > 0.0))
+    p.fail("species '" + sp.name + "' needs a positive \"j1_width\"");
+  if (!(sp.nl_width > 0.0))
+    p.fail("species '" + sp.name + "' needs a positive \"nl_width\"");
   s.species.push_back(sp);
   s.ion_counts.push_back(count);
 }

@@ -100,7 +100,7 @@ void serialize_payload(const PopulationSnapshot& snap, ByteSink& sink)
   sink.put(snap.master_seed);
   sink.put(snap.tau);
   sink.put(static_cast<std::uint32_t>(snap.kind));
-  sink.put(static_cast<std::uint32_t>(snap.buffers_stored ? 1 : 0));
+  sink.put(std::uint32_t{1}); // buffers stored
   sink.put(snap.generation);
   sink.put(snap.trial_energy);
   sink.put(snap.branch_rng);
@@ -122,11 +122,8 @@ void serialize_payload(const PopulationSnapshot& snap, ByteSink& sink)
     sink.put(w.rng);
     sink.put_bytes(reinterpret_cast<const char*>(w.R.data()),
                    w.R.size() * sizeof(Walker::Pos));
-    if (snap.buffers_stored)
-    {
-      sink.put(static_cast<std::uint64_t>(w.buffer.size()));
-      sink.put_bytes(w.buffer.data(), w.buffer.size());
-    }
+    sink.put(static_cast<std::uint64_t>(w.buffer.size()));
+    sink.put_bytes(w.buffer.data(), w.buffer.size());
   }
 }
 
@@ -143,7 +140,11 @@ PopulationSnapshot parse_payload(std::uint32_t precision_bytes, std::uint64_t fi
   if (kind > 1)
     throw std::runtime_error("qmcxx-snap: invalid chain kind tag " + std::to_string(kind));
   snap.kind = static_cast<ChainKind>(kind);
-  snap.buffers_stored = src.get<std::uint32_t>() != 0;
+  const auto buffers_stored = src.get<std::uint32_t>();
+  if (buffers_stored != 1)
+    throw std::runtime_error("qmcxx-snap: buffers-stored flag is " +
+                             std::to_string(buffers_stored) +
+                             ", expected 1: a snapshot without walker buffers cannot be resumed");
   snap.generation = src.get<std::uint64_t>();
   snap.trial_energy = src.get<double>();
   snap.branch_rng = src.get<RandomGenerator::State>();
@@ -176,15 +177,12 @@ PopulationSnapshot parse_payload(std::uint32_t precision_bytes, std::uint64_t fi
     w.R.resize(snap.num_particles);
     src.get_bytes(reinterpret_cast<char*>(w.R.data()),
                   w.R.size() * sizeof(Walker::Pos));
-    if (snap.buffers_stored)
-    {
-      const auto nbytes = src.get<std::uint64_t>();
-      if (nbytes > src.remaining())
-        throw std::runtime_error("qmcxx-snap: truncated snapshot payload (buffer overruns "
-                                 "declared size)");
-      w.buffer.resize(nbytes);
-      src.get_bytes(w.buffer.data(), nbytes);
-    }
+    const auto nbytes = src.get<std::uint64_t>();
+    if (nbytes > src.remaining())
+      throw std::runtime_error("qmcxx-snap: truncated snapshot payload (buffer overruns "
+                               "declared size)");
+    w.buffer.resize(nbytes);
+    src.get_bytes(w.buffer.data(), nbytes);
     snap.walkers.push_back(std::move(w));
   }
   if (src.remaining() != 0)

@@ -4,12 +4,12 @@
 //
 // A snapshot captures the full Markov-chain state at a generation
 // barrier: every walker's positions, DMC bookkeeping scalars, lineage
-// ids (the branching history), anonymous PooledBuffer bytes (or a
-// recompute flag), and private SplitMix64-derived RNG stream state,
-// plus the serial branching stream, trial energy, and the generation
-// counter. Restoring it into a driver built from the same workload /
-// variant / seed / tau reproduces the uninterrupted chain bitwise --
-// at any crowd_size x num_threads decomposition, because chains are
+// ids (the branching history), anonymous PooledBuffer bytes, and
+// private SplitMix64-derived RNG stream state, plus the serial
+// branching stream, trial energy, and the generation counter.
+// Restoring it into a driver built from the same workload / variant /
+// seed / tau reproduces the uninterrupted chain bitwise -- at any
+// crowd_size x num_threads decomposition, because chains are
 // decomposition-invariant (PR 2/PR 4) and all chain-relevant state
 // lives in the population, never in the crowd slots.
 //
@@ -27,12 +27,13 @@
 // Payload (packed, no alignment padding):
 //
 //   u64 master_seed; f64 tau; u32 chain kind (VMC/DMC); u32 buffers
-//   stored flag; u64 next-generation counter; f64 trial energy;
-//   RandomGenerator::State branch stream; u64 particles per walker;
-//   u64 walker count; then per walker: u64 id, u64 parent_id, f64
-//   weight/multiplicity/local_energy/old_local_energy/log_psi, i64 age,
-//   RandomGenerator::State proposal stream, Pos[particles], and -- when
-//   buffers are stored -- u64 byte count + raw PooledBuffer bytes.
+//   stored flag (always 1; the reader rejects any other value, so a
+//   file without walker buffers never resumes); u64 next-generation
+//   counter; f64 trial energy; RandomGenerator::State branch stream;
+//   u64 particles per walker; u64 walker count; then per walker: u64
+//   id, u64 parent_id, f64 weight/multiplicity/local_energy/
+//   old_local_energy/log_psi, i64 age, RandomGenerator::State proposal
+//   stream, Pos[particles], u64 byte count + raw PooledBuffer bytes.
 //
 // Walker::Pos and RandomGenerator::State are shipped as raw bytes;
 // static_asserts in walker.h / rng.h pin the layouts. PooledBuffer
@@ -81,7 +82,7 @@ struct WalkerSnapshot
   std::int64_t age = 0;
   RandomGenerator::State rng{};
   std::vector<Walker::Pos> R;
-  std::vector<char> buffer; ///< empty when PopulationSnapshot::buffers_stored is false
+  std::vector<char> buffer;
 };
 
 /// In-memory form of one qmcxx-snap-v1 snapshot: pure data, fully
@@ -92,11 +93,6 @@ struct PopulationSnapshot
   std::uint32_t precision_bytes = sizeof(double); ///< sizeof(TR) of the writing engine
   std::uint64_t workload_fingerprint = 0;         ///< 0 = unstamped (driver-level tests)
   ChainKind kind = ChainKind::VMC;
-  /// When false the PooledBuffer bytes were dropped (the recompute
-  /// flag): resume rebuilds wavefunction state from scratch, which is
-  /// statistically equivalent but NOT bitwise-exact -- from-scratch
-  /// inverses differ in low bits from incrementally updated ones.
-  bool buffers_stored = true;
   std::uint64_t generation = 0; ///< absolute index of the next generation to run
   std::uint64_t master_seed = 0;
   double tau = 0.0;

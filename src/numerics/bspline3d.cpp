@@ -500,158 +500,6 @@ void BsplineSetAoS<T>::evaluate_vgh_multi(const T (*u)[3], int np,
 }
 
 // --------------------------------------------------------------------
-// MultiBsplineTiled (AoSoA extension, paper Sec. 8.4)
-// --------------------------------------------------------------------
-
-template<typename T>
-void MultiBsplineTiled<T>::resize(int nx, int ny, int nz, int num_splines, int tile_width)
-{
-  ns_ = num_splines;
-  tile_width_ = tile_width;
-  tiles_.clear();
-  for (int first = 0; first < num_splines; first += tile_width)
-  {
-    const int count = std::min(tile_width, num_splines - first);
-    tiles_.emplace_back(nx, ny, nz, count);
-  }
-}
-
-template<typename T>
-void MultiBsplineTiled<T>::set_coef(int s, int ix, int iy, int iz, T value)
-{
-  tiles_[s / tile_width_].set_coef(s % tile_width_, ix, iy, iz, value);
-}
-
-template<typename T>
-T MultiBsplineTiled<T>::get_coef(int s, int ix, int iy, int iz) const
-{
-  return tiles_[s / tile_width_].get_coef(s % tile_width_, ix, iy, iz);
-}
-
-namespace
-{
-/// Thread-local tile staging, grown on demand and reused across calls
-/// (the per-call aligned_vector here used to dominate small-tile
-/// evaluation with allocator traffic -- same cure as VGLScratch in the
-/// SPO layer).
-template<typename T>
-T* tile_scratch(std::size_t need)
-{
-  static thread_local aligned_vector<T> scratch;
-  if (scratch.size() < need)
-    scratch.resize(need);
-  return scratch.data();
-}
-} // namespace
-
-template<typename T>
-void MultiBsplineTiled<T>::evaluate_v(const T u[3], T* __restrict vals) const
-{
-  // Each tile writes into its padded scratch, then results are packed
-  // back into the caller's contiguous layout.
-  T* scratch = tile_scratch<T>(getAlignedSize<T>(static_cast<std::size_t>(tile_width_)));
-  for (std::size_t t = 0; t < tiles_.size(); ++t)
-  {
-    tiles_[t].evaluate_v(u, scratch);
-    const int first = static_cast<int>(t) * tile_width_;
-    const int count = tiles_[t].num_splines();
-    for (int s = 0; s < count; ++s)
-      vals[first + s] = scratch[s];
-  }
-}
-
-template<typename T>
-void MultiBsplineTiled<T>::evaluate_vgh(const T u[3], const SplineVGHResult<T>& out) const
-{
-  const std::size_t npadt = getAlignedSize<T>(static_cast<std::size_t>(tile_width_));
-  T* scratch = tile_scratch<T>(10 * npadt);
-  for (std::size_t t = 0; t < tiles_.size(); ++t)
-  {
-    const SplineVGHResult<T> tile_out{scratch,
-                                      {scratch + npadt, scratch + 2 * npadt, scratch + 3 * npadt},
-                                      {scratch + 4 * npadt, scratch + 5 * npadt,
-                                       scratch + 6 * npadt, scratch + 7 * npadt,
-                                       scratch + 8 * npadt, scratch + 9 * npadt}};
-    tiles_[t].evaluate_vgh(u, tile_out);
-    const int first = static_cast<int>(t) * tile_width_;
-    const int count = tiles_[t].num_splines();
-    for (int s = 0; s < count; ++s)
-    {
-      out.v[first + s] = scratch[s];
-      for (int d = 0; d < 3; ++d)
-        out.g[d][first + s] = scratch[static_cast<std::size_t>(1 + d) * npadt + s];
-      for (int h = 0; h < 6; ++h)
-        out.h[h][first + s] = scratch[static_cast<std::size_t>(4 + h) * npadt + s];
-    }
-  }
-}
-
-template<typename T>
-void MultiBsplineTiled<T>::evaluate_v_multi(const T (*u)[3], int np, T* __restrict vals,
-                                            std::size_t pos_stride) const
-{
-  if (np <= 0)
-    return;
-  // Component-major tile staging: position ip's tile values live at
-  // ip * npadt. Each tile runs its batched SoA kernel (bitwise equal to
-  // its scalar kernel), so the packed result matches np scalar calls.
-  const std::size_t npadt = getAlignedSize<T>(static_cast<std::size_t>(tile_width_));
-  T* scratch = tile_scratch<T>(static_cast<std::size_t>(np) * npadt);
-  for (std::size_t t = 0; t < tiles_.size(); ++t)
-  {
-    tiles_[t].evaluate_v_multi(u, np, scratch, npadt);
-    const int first = static_cast<int>(t) * tile_width_;
-    const int count = tiles_[t].num_splines();
-    for (int ip = 0; ip < np; ++ip)
-    {
-      const T* __restrict src = scratch + static_cast<std::size_t>(ip) * npadt;
-      T* __restrict dst = vals + static_cast<std::size_t>(ip) * pos_stride + first;
-      for (int s = 0; s < count; ++s)
-        dst[s] = src[s];
-    }
-  }
-}
-
-template<typename T>
-void MultiBsplineTiled<T>::evaluate_vgh_multi(const T (*u)[3], int np,
-                                              const SplineVGHMultiResult<T>& out) const
-{
-  if (np <= 0)
-    return;
-  const std::size_t npadt = getAlignedSize<T>(static_cast<std::size_t>(tile_width_));
-  const std::size_t comp = static_cast<std::size_t>(np) * npadt;
-  T* scratch = tile_scratch<T>(10 * comp);
-  const SplineVGHMultiResult<T> tile_out{scratch,
-                                         {scratch + comp, scratch + 2 * comp, scratch + 3 * comp},
-                                         {scratch + 4 * comp, scratch + 5 * comp,
-                                          scratch + 6 * comp, scratch + 7 * comp,
-                                          scratch + 8 * comp, scratch + 9 * comp},
-                                         npadt};
-  for (std::size_t t = 0; t < tiles_.size(); ++t)
-  {
-    tiles_[t].evaluate_vgh_multi(u, np, tile_out);
-    const int first = static_cast<int>(t) * tile_width_;
-    const int count = tiles_[t].num_splines();
-    const T* comps_in[10] = {tile_out.v,    tile_out.g[0], tile_out.g[1], tile_out.g[2],
-                             tile_out.h[0], tile_out.h[1], tile_out.h[2], tile_out.h[3],
-                             tile_out.h[4], tile_out.h[5]};
-    T* comps_out[10] = {out.v,    out.g[0], out.g[1], out.g[2], out.h[0],
-                        out.h[1], out.h[2], out.h[3], out.h[4], out.h[5]};
-    for (int c = 0; c < 10; ++c)
-      for (int ip = 0; ip < np; ++ip)
-      {
-        const T* __restrict src = comps_in[c] + static_cast<std::size_t>(ip) * npadt;
-        T* __restrict dst = comps_out[c] + static_cast<std::size_t>(ip) * out.pos_stride + first;
-        for (int s = 0; s < count; ++s)
-          dst[s] = src[s];
-      }
-  }
-}
-
-template class MultiBsplineTiled<float>;
-template class MultiBsplineTiled<double>;
-
-// --------------------------------------------------------------------
 // Periodic interpolation (spline prefilter)
 // --------------------------------------------------------------------
 
@@ -737,10 +585,6 @@ template void fit_splines_periodic<float, MultiBspline3D<float>>(
     MultiBspline3D<float>&, int, int, int, const std::vector<std::vector<double>>&);
 template void fit_splines_periodic<double, MultiBspline3D<double>>(
     MultiBspline3D<double>&, int, int, int, const std::vector<std::vector<double>>&);
-template void fit_splines_periodic<float, MultiBsplineTiled<float>>(
-    MultiBsplineTiled<float>&, int, int, int, const std::vector<std::vector<double>>&);
-template void fit_splines_periodic<double, MultiBsplineTiled<double>>(
-    MultiBsplineTiled<double>&, int, int, int, const std::vector<std::vector<double>>&);
 
 template void fit_splines_periodic<float, BsplineSetAoS<float>>(
     BsplineSetAoS<float>&, int, int, int, const std::vector<std::vector<double>>&);

@@ -189,57 +189,6 @@ private:
   std::vector<aligned_vector<T>> splines_;
 };
 
-/// Array-of-SoA (AoSoA) tiled multi-spline -- the paper's Sec. 8.4
-/// proposal (from the authors' prior IPDPS work) implemented as an
-/// extension. The orbital set is split into fixed-width tiles, each a
-/// contiguous SoA block: for very large spline counts this bounds the
-/// working set touched per stencil point and enables parallel execution
-/// over tiles. Evaluation results are identical to MultiBspline3D.
-template<typename T>
-class MultiBsplineTiled
-{
-public:
-  MultiBsplineTiled() = default;
-  MultiBsplineTiled(int nx, int ny, int nz, int num_splines, int tile_width = 32)
-  {
-    resize(nx, ny, nz, num_splines, tile_width);
-  }
-
-  void resize(int nx, int ny, int nz, int num_splines, int tile_width = 32);
-
-  int num_splines() const { return ns_; }
-  int tile_width() const { return tile_width_; }
-  int num_tiles() const { return static_cast<int>(tiles_.size()); }
-  std::size_t coefficient_bytes() const
-  {
-    std::size_t b = 0;
-    for (const auto& t : tiles_)
-      b += t.coefficient_bytes();
-    return b;
-  }
-
-  void set_coef(int s, int ix, int iy, int iz, T value);
-  T get_coef(int s, int ix, int iy, int iz) const;
-
-  /// Outputs are laid out exactly as MultiBspline3D's: caller provides
-  /// arrays padded to getAlignedSize<T>(num_splines).
-  void evaluate_v(const T u[3], T* __restrict vals) const;
-  void evaluate_vgh(const T u[3], const SplineVGHResult<T>& out) const;
-
-  /// Crowd-batched kernels: each tile runs its batched SoA kernel into
-  /// tile-local staging, then results are packed into the caller's
-  /// MultiBspline3D-compatible layout. Bitwise identical to np scalar
-  /// calls (which are themselves identical to the untiled SoA engine).
-  void evaluate_v_multi(const T (*u)[3], int np, T* __restrict vals,
-                        std::size_t pos_stride) const;
-  void evaluate_vgh_multi(const T (*u)[3], int np, const SplineVGHMultiResult<T>& out) const;
-
-private:
-  int ns_ = 0;
-  int tile_width_ = 32;
-  std::vector<MultiBspline3D<T>> tiles_;
-};
-
 /// Solve the periodic cubic-B-spline interpolation problem along one
 /// axis: find coefficients c such that (c[i-1] + 4c[i] + c[i+1])/6 = f[i]
 /// with periodic wrap. `data` has n entries with the given stride; it is

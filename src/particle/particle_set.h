@@ -296,22 +296,6 @@ public:
     }
   }
 
-  static void mw_load_walkers(const RefVector<ParticleSet<TR>>& p_list,
-                              const RefVector<Walker>& walkers)
-  {
-    assert(walkers.size() >= p_list.size());
-    for (std::size_t iw = 0; iw < p_list.size(); ++iw)
-      p_list[iw].get().load_walker(walkers[iw].get());
-  }
-
-  static void mw_store_walkers(const RefVector<ParticleSet<TR>>& p_list,
-                               const RefVector<Walker>& walkers)
-  {
-    assert(walkers.size() >= p_list.size());
-    for (std::size_t iw = 0; iw < p_list.size(); ++iw)
-      p_list[iw].get().store_walker(walkers[iw].get());
-  }
-
 private:
   std::string name_;
   Lattice lattice_;

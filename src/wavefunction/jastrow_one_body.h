@@ -54,26 +54,6 @@ public:
 
   const CubicBsplineFunctor<TR>& functor(int species) const { return *functors_[species]; }
 
-  // ---- multi-walker (crowd) hooks --------------------------------------
-  // J1 ratios are per-walker electron-ion row reductions with no
-  // cross-walker work to share, so the crowd path is the flat loop over
-  // the scalar kernels (one virtual dispatch per crowd instead of one
-  // per walker). Kept explicit here so the crowd contract is visible in
-  // every component family.
-  void mw_ratio_grad(const RefVector<WaveFunctionComponent<TR>>& wfc_list,
-                     const RefVector<ParticleSet<TR>>& p_list, int k, double* ratios,
-                     typename WaveFunctionComponent<TR>::Grad* grads, MWResource* resource) override
-  {
-    WaveFunctionComponent<TR>::mw_ratio_grad(wfc_list, p_list, k, ratios, grads, resource);
-  }
-
-  void mw_accept_reject(const RefVector<WaveFunctionComponent<TR>>& wfc_list,
-                        const RefVector<ParticleSet<TR>>& p_list, int k,
-                        const std::vector<char>& is_accepted, MWResource* resource) override
-  {
-    WaveFunctionComponent<TR>::mw_accept_reject(wfc_list, p_list, k, is_accepted, resource);
-  }
-
   /// NLPP fan from the AB table's virtual rows: the same reduction
   /// ratio() runs on the temp row, once per quadrature point.
   void ratios_virtual(ParticleSet<TR>& p, int k, const Pos* vpos, int nr,

@@ -56,26 +56,6 @@ public:
     return *functors_[g1 * ngroups_ + g2];
   }
 
-  // ---- multi-walker (crowd) hooks --------------------------------------
-  // J2 ratios are per-walker distance-table row reductions with no
-  // cross-walker work to share, so the crowd path is the flat loop over
-  // the scalar kernels (one virtual dispatch per crowd instead of one
-  // per walker). Kept explicit here so the crowd contract is visible in
-  // every component family.
-  void mw_ratio_grad(const RefVector<WaveFunctionComponent<TR>>& wfc_list,
-                     const RefVector<ParticleSet<TR>>& p_list, int k, double* ratios,
-                     typename WaveFunctionComponent<TR>::Grad* grads, MWResource* resource) override
-  {
-    WaveFunctionComponent<TR>::mw_ratio_grad(wfc_list, p_list, k, ratios, grads, resource);
-  }
-
-  void mw_accept_reject(const RefVector<WaveFunctionComponent<TR>>& wfc_list,
-                        const RefVector<ParticleSet<TR>>& p_list, int k,
-                        const std::vector<char>& is_accepted, MWResource* resource) override
-  {
-    WaveFunctionComponent<TR>::mw_accept_reject(wfc_list, p_list, k, is_accepted, resource);
-  }
-
   /// NLPP fan from the AA table's virtual rows: the same reduction
   /// ratio() runs on the temp row, once per quadrature point.
   void ratios_virtual(ParticleSet<TR>& p, int k, const Pos* vpos, int nr,

@@ -252,61 +252,6 @@ TEST(MultiBspline3D, CoefficientBytesReflectPadding)
 }
 
 // ---------------------------------------------------------------------
-// AoSoA tiled multi-spline (paper Sec. 8.4 extension)
-// ---------------------------------------------------------------------
-
-TEST(MultiBsplineTiled, MatchesMonolithicSoA)
-{
-  const int n = 10;
-  const int ns = 21; // deliberately not a multiple of the tile width
-  std::vector<std::vector<double>> samples;
-  for (int s = 0; s < ns; ++s)
-    samples.push_back(plane_wave_samples(n, n, n, 1 + s % 3, s % 2, 1));
-
-  MultiBspline3D<double> mono;
-  mono.resize(n, n, n, ns);
-  fit_splines_periodic<double>(mono, n, n, n, samples);
-  MultiBsplineTiled<double> tiled;
-  tiled.resize(n, n, n, ns, /*tile_width=*/8);
-  fit_splines_periodic<double>(tiled, n, n, n, samples);
-  EXPECT_EQ(tiled.num_tiles(), 3);
-
-  const std::size_t np = getAlignedSize<double>(ns);
-  aligned_vector<double> v1(np), v2(np);
-  const double u[3] = {0.137, 0.52, 0.911};
-  mono.evaluate_v(u, v1.data());
-  tiled.evaluate_v(u, v2.data());
-  for (int s = 0; s < ns; ++s)
-    EXPECT_NEAR(v1[s], v2[s], 1e-14) << s;
-
-  aligned_vector<double> g(6 * np), h(12 * np), vv(2 * np);
-  SplineVGHResult<double> r1{&vv[0],
-                             {&g[0], &g[np], &g[2 * np]},
-                             {&h[0], &h[np], &h[2 * np], &h[3 * np], &h[4 * np], &h[5 * np]}};
-  SplineVGHResult<double> r2{&vv[np],
-                             {&g[3 * np], &g[4 * np], &g[5 * np]},
-                             {&h[6 * np], &h[7 * np], &h[8 * np], &h[9 * np], &h[10 * np],
-                              &h[11 * np]}};
-  mono.evaluate_vgh(u, r1);
-  tiled.evaluate_vgh(u, r2);
-  for (int s = 0; s < ns; ++s)
-  {
-    EXPECT_NEAR(vv[s], vv[np + s], 1e-14);
-    EXPECT_NEAR(g[s], g[3 * np + s], 1e-13);
-    EXPECT_NEAR(h[5 * np + s], h[11 * np + s], 1e-12);
-  }
-}
-
-TEST(MultiBsplineTiled, CoefficientRoundTrip)
-{
-  MultiBsplineTiled<float> tiled(8, 8, 8, 10, 4);
-  tiled.set_coef(9, 3, 4, 5, 2.5f);
-  EXPECT_EQ(tiled.get_coef(9, 3, 4, 5), 2.5f);
-  EXPECT_EQ(tiled.num_tiles(), 3);
-  EXPECT_GT(tiled.coefficient_bytes(), 0u);
-}
-
-// ---------------------------------------------------------------------
 // Crowd-batched kernels (PR 8): bitwise parity with the scalar paths
 // ---------------------------------------------------------------------
 
@@ -360,7 +305,7 @@ void expect_batched_bitwise(Backend& set, int ns, int npos)
       << "evaluate_vgh_multi differs from scalar (ns=" << ns << " npos=" << npos << ")";
 }
 
-/// All three backends x np in {1, 3, 8} on a deliberately non-padded
+/// Both backends x np in {1, 3, 8} on a deliberately non-padded
 /// orbital count (ns = 7 pads to the SIMD width for both precisions).
 template<typename T>
 void run_multi_parity_all_backends()
@@ -377,15 +322,11 @@ void run_multi_parity_all_backends()
   BsplineSetAoS<T> aos;
   aos.resize(n, n, n, ns);
   fit_splines_periodic<T>(aos, n, n, n, samples);
-  MultiBsplineTiled<T> tiled;
-  tiled.resize(n, n, n, ns, /*tile_width=*/4);
-  fit_splines_periodic<T>(tiled, n, n, n, samples);
 
   for (int npos : {1, 3, 8})
   {
     expect_batched_bitwise<T>(soa, ns, npos);
     expect_batched_bitwise<T>(aos, ns, npos);
-    expect_batched_bitwise<T>(tiled, ns, npos);
   }
 }
 

@@ -19,28 +19,7 @@ using namespace qmcxx::testing;
 namespace
 {
 
-DriverConfig crowd_config(int crowd_size, int steps = 4, int walkers = 4)
-{
-  DriverConfig cfg;
-  cfg.tau = 0.02;
-  cfg.steps = steps;
-  cfg.num_walkers = walkers;
-  cfg.seed = 20170708;
-  cfg.recompute_period = 3;
-  cfg.num_threads = 1;
-  cfg.crowd_size = crowd_size;
-  return cfg;
-}
-
-template<typename TR>
-RunResult run_workload(const SystemSpec& spec, const DriverConfig& cfg, bool dmc)
-{
-  BuildOptions opt;
-  auto sys = build_system<TR>(spec, opt);
-  QMCDriver<TR> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
-  driver.initialize_population();
-  return dmc ? driver.run_dmc() : driver.run_vmc();
-}
+constexpr std::uint64_t kSeed = 20170708;
 
 /// Jittered, buffer-registered walkers cloned from the system prototype
 /// (what QMCDriver::initialize_population does, exposed for API tests).
@@ -80,9 +59,12 @@ TEST(CrowdParity, TinyVmcIdenticalAcrossCrowdSizes)
   // Per-walker RNG streams are private, so every crowd size must replay
   // exactly the same Markov chain.
   const SystemSpec spec = tiny_spec();
-  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1), /*dmc=*/false);
-  const RunResult crowd2 = run_workload<double>(spec, crowd_config(2), /*dmc=*/false);
-  const RunResult crowd4 = run_workload<double>(spec, crowd_config(4), /*dmc=*/false);
+  const RunResult crowd1 =
+      build_and_run<double>(spec, short_chain_config(kSeed, 4, 4, 1), /*dmc=*/false);
+  const RunResult crowd2 =
+      build_and_run<double>(spec, short_chain_config(kSeed, 4, 4, 2), /*dmc=*/false);
+  const RunResult crowd4 =
+      build_and_run<double>(spec, short_chain_config(kSeed, 4, 4, 4), /*dmc=*/false);
   expect_chains_bitwise(crowd1, crowd2);
   expect_chains_bitwise(crowd1, crowd4);
 }
@@ -90,16 +72,20 @@ TEST(CrowdParity, TinyVmcIdenticalAcrossCrowdSizes)
 TEST(CrowdParity, GraphiteVmcBitwiseAcrossCrowdSizes)
 {
   const SystemSpec spec = workload_spec(Workload::Graphite);
-  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1, /*steps=*/2), false);
-  const RunResult crowd4 = run_workload<double>(spec, crowd_config(4, /*steps=*/2), false);
+  const RunResult crowd1 =
+      build_and_run<double>(spec, short_chain_config(kSeed, /*steps=*/2, 4, 1), false);
+  const RunResult crowd4 =
+      build_and_run<double>(spec, short_chain_config(kSeed, /*steps=*/2, 4, 4), false);
   expect_chains_bitwise(crowd1, crowd4);
 }
 
 TEST(CrowdParity, GraphiteDmcBitwiseAcrossCrowdSizes)
 {
   const SystemSpec spec = workload_spec(Workload::Graphite);
-  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1, /*steps=*/2), true);
-  const RunResult crowd4 = run_workload<double>(spec, crowd_config(4, /*steps=*/2), true);
+  const RunResult crowd1 =
+      build_and_run<double>(spec, short_chain_config(kSeed, /*steps=*/2, 4, 1), true);
+  const RunResult crowd4 =
+      build_and_run<double>(spec, short_chain_config(kSeed, /*steps=*/2, 4, 4), true);
   expect_chains_bitwise(crowd1, crowd4);
 }
 
@@ -108,8 +94,8 @@ TEST(CrowdParity, PartialCrowdsAndOddPopulations)
   // crowd_size that does not divide the population exercises the
   // partial-slice acquire.
   const SystemSpec spec = tiny_spec();
-  const RunResult crowd1 = run_workload<double>(spec, crowd_config(1, 3, 5), false);
-  const RunResult crowd3 = run_workload<double>(spec, crowd_config(3, 3, 5), false);
+  const RunResult crowd1 = build_and_run<double>(spec, short_chain_config(kSeed, 3, 5, 1), false);
+  const RunResult crowd3 = build_and_run<double>(spec, short_chain_config(kSeed, 3, 5, 3), false);
   expect_chains_bitwise(crowd1, crowd3);
 }
 
@@ -254,13 +240,13 @@ TEST(CrowdResources, PerComponentResourcesAreAllocated)
 TEST(ThreadParity, TinyVmcBitwiseIdenticalAcrossThreadCounts)
 {
   const SystemSpec spec = tiny_spec();
-  DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/4, /*walkers=*/5);
-  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/false);
+  DriverConfig cfg = short_chain_config(kSeed, /*steps=*/4, /*walkers=*/5, /*crowd_size=*/2);
+  const RunResult serial = build_and_run<double>(spec, cfg, /*dmc=*/false);
   expect_nonnegative_variance(serial);
   for (int nthreads : {2, 4})
   {
     cfg.num_threads = nthreads;
-    const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/false);
+    const RunResult threaded = build_and_run<double>(spec, cfg, /*dmc=*/false);
     expect_chains_bitwise(serial, threaded);
   }
 }
@@ -268,13 +254,13 @@ TEST(ThreadParity, TinyVmcBitwiseIdenticalAcrossThreadCounts)
 TEST(ThreadParity, GraphiteVmcBitwiseIdenticalAcrossThreadCounts)
 {
   const SystemSpec spec = workload_spec(Workload::Graphite);
-  DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/2, /*walkers=*/6);
-  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/false);
+  DriverConfig cfg = short_chain_config(kSeed, /*steps=*/2, /*walkers=*/6, /*crowd_size=*/2);
+  const RunResult serial = build_and_run<double>(spec, cfg, /*dmc=*/false);
   expect_nonnegative_variance(serial);
   for (int nthreads : {2, 4})
   {
     cfg.num_threads = nthreads;
-    const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/false);
+    const RunResult threaded = build_and_run<double>(spec, cfg, /*dmc=*/false);
     expect_chains_bitwise(serial, threaded);
   }
 }
@@ -286,13 +272,13 @@ TEST(ThreadParity, GraphiteDmcBitwiseIdenticalAcrossThreadCounts)
   // and fork the whole subsequent chain, so this is the sharpest
   // thread-count parity check in the suite.
   const SystemSpec spec = workload_spec(Workload::Graphite);
-  DriverConfig cfg = crowd_config(/*crowd_size=*/2, /*steps=*/2, /*walkers=*/6);
-  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/true);
+  DriverConfig cfg = short_chain_config(kSeed, /*steps=*/2, /*walkers=*/6, /*crowd_size=*/2);
+  const RunResult serial = build_and_run<double>(spec, cfg, /*dmc=*/true);
   expect_nonnegative_variance(serial);
   for (int nthreads : {2, 4})
   {
     cfg.num_threads = nthreads;
-    const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/true);
+    const RunResult threaded = build_and_run<double>(spec, cfg, /*dmc=*/true);
     expect_chains_bitwise(serial, threaded);
   }
 }
@@ -302,9 +288,9 @@ TEST(ThreadParity, ThreadsComposeWithSingleWalkerCrowds)
   // crowd_size == 1 threads over walkers one crowd each; it must agree
   // bitwise with its own serial run too.
   const SystemSpec spec = tiny_spec();
-  DriverConfig cfg = crowd_config(/*crowd_size=*/1, /*steps=*/3, /*walkers=*/4);
-  const RunResult serial = run_workload<double>(spec, cfg, /*dmc=*/true);
+  DriverConfig cfg = short_chain_config(kSeed, /*steps=*/3, /*walkers=*/4, /*crowd_size=*/1);
+  const RunResult serial = build_and_run<double>(spec, cfg, /*dmc=*/true);
   cfg.num_threads = 4;
-  const RunResult threaded = run_workload<double>(spec, cfg, /*dmc=*/true);
+  const RunResult threaded = build_and_run<double>(spec, cfg, /*dmc=*/true);
   expect_chains_bitwise(serial, threaded);
 }

@@ -20,84 +20,10 @@
 
 using namespace qmcxx;
 using namespace qmcxx::testing;
+using namespace qmcxx::testing::det_fixture;
 
 namespace
 {
-
-constexpr int kNel = 10;
-constexpr double kBox = 5.5;
-constexpr int kGrid = 10;
-
-template<typename TR>
-std::shared_ptr<SPOSet<TR>> make_spos(const Lattice& lat)
-{
-  auto backend = std::make_shared<MultiBspline3D<TR>>();
-  fill_synthetic_orbitals<TR>(*backend, kGrid, kGrid, kGrid, kNel, /*seed=*/2026);
-  return std::make_shared<BsplineSPOSetSoA<TR>>(lat, backend);
-}
-
-struct DetSystem
-{
-  std::unique_ptr<ParticleSet<double>> p;
-  std::shared_ptr<SPOSet<double>> spos;
-};
-
-DetSystem make_det_system(std::uint64_t seed = 31)
-{
-  DetSystem s;
-  s.p = std::make_unique<ParticleSet<double>>("e", Lattice::cubic(kBox));
-  s.p->add_species("u", -1.0);
-  s.p->create({kNel});
-  RandomGenerator rng(seed);
-  randomize_positions(*s.p, rng);
-  s.p->update();
-  s.spos = make_spos<double>(s.p->lattice());
-  return s;
-}
-
-/// Log|det| and sign of the Slater matrix at the current positions.
-void brute_logdet(SPOSet<double>& spos, const ParticleSet<double>& p, int nel, double& logdet,
-                  double& sign)
-{
-  const std::size_t np = getAlignedSize<double>(nel);
-  aligned_vector<double> psi(np);
-  Matrix<double> a(nel, nel);
-  for (int i = 0; i < nel; ++i)
-  {
-    spos.evaluate_v(p.pos(i), psi.data());
-    for (int j = 0; j < nel; ++j)
-      a(i, j) = psi[j];
-  }
-  Matrix<double> inv;
-  linalg::invert_matrix(a, inv, logdet, sign);
-}
-
-/// Max |A A^-1 - I| of a determinant's transposed-inverse storage.
-double inverse_residual(SPOSet<double>& spos, const ParticleSet<double>& p,
-                        const DiracDeterminant<double>& det)
-{
-  const int n = det.size();
-  const std::size_t np = getAlignedSize<double>(n);
-  aligned_vector<double> psi(np);
-  Matrix<double> a(n, n);
-  for (int i = 0; i < n; ++i)
-  {
-    spos.evaluate_v(p.pos(det.first() + i), psi.data());
-    for (int j = 0; j < n; ++j)
-      a(i, j) = psi[j];
-  }
-  const auto& minv = det.inverse_transposed();
-  double maxerr = 0;
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-    {
-      double sum = 0;
-      for (int k = 0; k < n; ++k)
-        sum += a(i, k) * static_cast<double>(minv(j, k));
-      maxerr = std::max(maxerr, std::abs(sum - (i == j ? 1.0 : 0.0)));
-    }
-  return maxerr;
-}
 
 /// Test probes: expose the protected accepted-ratio slot so the
 /// degenerate-accept guard can be exercised deterministically.
@@ -113,31 +39,7 @@ struct ProbeDelayedDet : DiracDeterminantDelayed<double>
   void poison_ratio(double r) { this->cur_ratio_ = r; }
 };
 
-// ---- driver-level harness (mirrors tests/test_crowd.cpp) --------------
-
-DriverConfig delayed_config(int delay_rank, int crowd_size, int steps = 4, int walkers = 4)
-{
-  DriverConfig cfg;
-  cfg.tau = 0.02;
-  cfg.steps = steps;
-  cfg.num_walkers = walkers;
-  cfg.seed = 20170708;
-  cfg.recompute_period = 3;
-  cfg.num_threads = 1;
-  cfg.crowd_size = crowd_size;
-  cfg.delay_rank = delay_rank;
-  return cfg;
-}
-
-RunResult run_delayed(const SystemSpec& system, const DriverConfig& cfg, bool dmc)
-{
-  BuildOptions opt;
-  opt.delay_rank = cfg.delay_rank;
-  auto sys = build_system<double>(system, opt);
-  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
-  driver.initialize_population();
-  return dmc ? driver.run_dmc() : driver.run_vmc();
-}
+constexpr std::uint64_t kSeed = 20170708;
 
 void expect_traces_match(const RunResult& a, const RunResult& b, double rel_tol)
 {
@@ -387,26 +289,26 @@ TEST(DegenerateRatioGuard, DelayedAcceptRecoversAndClearsWindow)
 TEST(DelayedDriverParity, GraphiteVmcDelayRankOneBitwiseMatchesPlain)
 {
   const SystemSpec graphite = workload_spec(Workload::Graphite);
-  const DriverConfig cfg = delayed_config(/*delay_rank=*/1, /*crowd=*/2, /*steps=*/2, 4);
+  const DriverConfig cfg = short_chain_config(kSeed, /*steps=*/2, 4, /*crowd=*/2, /*delay_rank=*/1);
   BuildOptions plain; // default build: plain DiracDeterminant
   auto sys = build_system<double>(graphite, plain);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const RunResult base = driver.run_vmc();
-  const RunResult delayed = run_delayed(graphite, cfg, /*dmc=*/false);
+  const RunResult delayed = build_and_run<double>(graphite, cfg, /*dmc=*/false);
   expect_chains_bitwise(base, delayed);
 }
 
 TEST(DelayedDriverParity, GraphiteDmcDelayRankOneBitwiseMatchesPlain)
 {
   const SystemSpec graphite = workload_spec(Workload::Graphite);
-  const DriverConfig cfg = delayed_config(/*delay_rank=*/1, /*crowd=*/2, /*steps=*/2, 4);
+  const DriverConfig cfg = short_chain_config(kSeed, /*steps=*/2, 4, /*crowd=*/2, /*delay_rank=*/1);
   BuildOptions plain;
   auto sys = build_system<double>(graphite, plain);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const RunResult base = driver.run_dmc();
-  const RunResult delayed = run_delayed(graphite, cfg, /*dmc=*/true);
+  const RunResult delayed = build_and_run<double>(graphite, cfg, /*dmc=*/true);
   expect_chains_bitwise(base, delayed);
 }
 
@@ -416,12 +318,12 @@ TEST(DelayedDriverParity, GraphiteVmcEnergyParityAcrossDelayRanks)
   // floating-point association; short chains agree to tight tolerance
   // for every delay rank (Sec. 8.4 correctness contract).
   const SystemSpec graphite = workload_spec(Workload::Graphite);
-  const RunResult rank1 =
-      run_delayed(graphite, delayed_config(1, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
+  const RunResult rank1 = build_and_run<double>(
+      graphite, short_chain_config(kSeed, /*steps=*/2, 4, /*crowd=*/4, 1), /*dmc=*/false);
   for (int delay : {2, 4, 8})
   {
-    const RunResult delayed =
-        run_delayed(graphite, delayed_config(delay, /*crowd=*/4, /*steps=*/2, 4), /*dmc=*/false);
+    const RunResult delayed = build_and_run<double>(
+        graphite, short_chain_config(kSeed, /*steps=*/2, 4, /*crowd=*/4, delay), /*dmc=*/false);
     expect_traces_match(rank1, delayed, 1e-6);
   }
 }
@@ -432,10 +334,10 @@ TEST(DelayedDriverParity, GraphiteDmcEnergyParityWithBranching)
   // barrier-side flush must commit every pending binding before weights
   // and clones are computed.
   const SystemSpec graphite = workload_spec(Workload::Graphite);
-  const RunResult rank1 =
-      run_delayed(graphite, delayed_config(1, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
-  const RunResult delayed =
-      run_delayed(graphite, delayed_config(4, /*crowd=*/2, /*steps=*/2, 4), /*dmc=*/true);
+  const RunResult rank1 = build_and_run<double>(
+      graphite, short_chain_config(kSeed, /*steps=*/2, 4, /*crowd=*/2, 1), /*dmc=*/true);
+  const RunResult delayed = build_and_run<double>(
+      graphite, short_chain_config(kSeed, /*steps=*/2, 4, /*crowd=*/2, 4), /*dmc=*/true);
   expect_traces_match(rank1, delayed, 1e-6);
 }
 
@@ -444,9 +346,12 @@ TEST(DelayedDriverParity, DelayedChainInvariantAcrossCrowdSizes)
   // For a fixed delay rank the chain must not depend on crowd batching:
   // every crowd size runs the same mw_* sweep through the engine.
   const SystemSpec tiny = tiny_spec();
-  const RunResult crowd1 = run_delayed(tiny, delayed_config(4, 1), /*dmc=*/false);
-  const RunResult crowd2 = run_delayed(tiny, delayed_config(4, 2), /*dmc=*/false);
-  const RunResult crowd4 = run_delayed(tiny, delayed_config(4, 4), /*dmc=*/false);
+  const RunResult crowd1 =
+      build_and_run<double>(tiny, short_chain_config(kSeed, 4, 4, 1, 4), /*dmc=*/false);
+  const RunResult crowd2 =
+      build_and_run<double>(tiny, short_chain_config(kSeed, 4, 4, 2, 4), /*dmc=*/false);
+  const RunResult crowd4 =
+      build_and_run<double>(tiny, short_chain_config(kSeed, 4, 4, 4, 4), /*dmc=*/false);
   expect_traces_match(crowd1, crowd2, 1e-10);
   expect_traces_match(crowd1, crowd4, 1e-10);
 }
@@ -459,12 +364,12 @@ TEST(DelayedDriverParity, FlushAtBarrierBitwiseAcrossThreadCounts)
   const SystemSpec tiny = tiny_spec();
   for (const bool dmc : {false, true})
   {
-    DriverConfig cfg = delayed_config(4, /*crowd=*/2, /*steps=*/4, /*walkers=*/5);
-    const RunResult serial = run_delayed(tiny, cfg, dmc);
+    DriverConfig cfg = short_chain_config(kSeed, /*steps=*/4, /*walkers=*/5, /*crowd=*/2, 4);
+    const RunResult serial = build_and_run<double>(tiny, cfg, dmc);
     for (int nthreads : {2, 4})
     {
       cfg.num_threads = nthreads;
-      const RunResult threaded = run_delayed(tiny, cfg, dmc);
+      const RunResult threaded = build_and_run<double>(tiny, cfg, dmc);
       expect_chains_bitwise(serial, threaded);
     }
   }

@@ -6,101 +6,12 @@
 #include <cmath>
 #include <memory>
 
-#include "numerics/linalg.h"
-#include "test_utils.h"
-#include "wavefunction/delayed_update.h"
 #include "particle/walker.h"
-#include "wavefunction/dirac_determinant.h"
-#include "wavefunction/spo_set.h"
+#include "test_utils.h"
 
 using namespace qmcxx;
 using namespace qmcxx::testing;
-
-namespace
-{
-
-constexpr int kNel = 10;
-constexpr double kBox = 5.5;
-constexpr int kGrid = 10;
-
-template<typename TR>
-std::shared_ptr<SPOSet<TR>> make_spos(const Lattice& lat)
-{
-  auto backend = std::make_shared<MultiBspline3D<TR>>();
-  fill_synthetic_orbitals<TR>(*backend, kGrid, kGrid, kGrid, kNel, /*seed=*/2026);
-  return std::make_shared<BsplineSPOSetSoA<TR>>(lat, backend);
-}
-
-/// Log|det| and sign from scratch using double LU.
-template<typename TR>
-void brute_logdet(SPOSet<TR>& spos, const ParticleSet<TR>& p, int first, int nel, double& logdet,
-                  double& sign)
-{
-  const std::size_t np = getAlignedSize<TR>(nel);
-  aligned_vector<TR> psi(np);
-  Matrix<double> a(nel, nel);
-  for (int i = 0; i < nel; ++i)
-  {
-    spos.evaluate_v(p.pos(first + i), psi.data());
-    for (int j = 0; j < nel; ++j)
-      a(i, j) = static_cast<double>(psi[j]);
-  }
-  Matrix<double> inv;
-  linalg::invert_matrix(a, inv, logdet, sign);
-}
-
-struct DetSystem
-{
-  std::unique_ptr<ParticleSet<double>> p;
-  std::shared_ptr<SPOSet<double>> spos;
-  std::unique_ptr<DiracDeterminant<double>> det;
-};
-
-DetSystem make_det_system(std::uint64_t seed = 31)
-{
-  DetSystem s;
-  s.p = std::make_unique<ParticleSet<double>>("e", Lattice::cubic(kBox));
-  s.p->add_species("u", -1.0);
-  s.p->create({kNel});
-  RandomGenerator rng(seed);
-  randomize_positions(*s.p, rng);
-  s.p->update();
-  s.spos = make_spos<double>(s.p->lattice());
-  s.det = std::make_unique<DiracDeterminant<double>>(s.spos, 0, kNel);
-  return s;
-}
-
-/// Check that minv (transposed-inverse storage) actually inverts the
-/// current orbital matrix A(i,j) = phi_j(r_i).
-template<typename TR>
-double inverse_residual(SPOSet<TR>& spos, const ParticleSet<TR>& p,
-                        const DiracDeterminant<TR>& det)
-{
-  const int n = det.size();
-  const std::size_t np = getAlignedSize<TR>(n);
-  aligned_vector<TR> psi(np);
-  Matrix<double> a(n, n);
-  for (int i = 0; i < n; ++i)
-  {
-    spos.evaluate_v(p.pos(det.first() + i), psi.data());
-    for (int j = 0; j < n; ++j)
-      a(i, j) = static_cast<double>(psi[j]);
-  }
-  const auto& minv = det.inverse_transposed();
-  FullPrecReal maxerr = 0;
-  // (A * A^-1)(i,j) = sum_k A(i,k) minv(j,k).
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-    {
-      FullPrecReal sum = 0;
-      for (int k = 0; k < n; ++k)
-        sum += a(i, k) * static_cast<double>(minv(j, k));
-      maxerr = std::max(maxerr, std::abs(sum - (i == j ? 1.0 : 0.0)));
-    }
-  return maxerr;
-}
-
-} // namespace
+using namespace qmcxx::testing::det_fixture;
 
 TEST(DiracDeterminant, LogValueMatchesBruteForce)
 {
@@ -109,7 +20,7 @@ TEST(DiracDeterminant, LogValueMatchesBruteForce)
   std::vector<double> l(kNel);
   const double logval = s.det->evaluate_log(*s.p, g, l);
   double brute, sign;
-  brute_logdet(*s.spos, *s.p, 0, kNel, brute, sign);
+  brute_logdet(*s.spos, *s.p, kNel, brute, sign);
   EXPECT_NEAR(logval, brute, 1e-10);
   EXPECT_EQ(s.det->phase_sign(), sign);
   EXPECT_LT(inverse_residual(*s.spos, *s.p, *s.det), 1e-9);
@@ -129,11 +40,11 @@ TEST(DiracDeterminant, RatioMatchesDeterminantQuotient)
         s.p->pos(k) + TinyVector<double, 3>{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                                           rng.uniform(-0.5, 0.5)};
     double log0, sign0;
-    brute_logdet(*s.spos, *s.p, 0, kNel, log0, sign0);
+    brute_logdet(*s.spos, *s.p, kNel, log0, sign0);
     const auto saved = s.p->pos(k);
     s.p->set_pos(k, rnew);
     double log1, sign1;
-    brute_logdet(*s.spos, *s.p, 0, kNel, log1, sign1);
+    brute_logdet(*s.spos, *s.p, kNel, log1, sign1);
     s.p->set_pos(k, saved);
     const double expect = sign0 * sign1 * std::exp(log1 - log0);
 
@@ -175,7 +86,7 @@ TEST(DiracDeterminant, ShermanMorrisonMatchesFreshInverse)
   EXPECT_LT(inverse_residual(*s.spos, *s.p, *s.det), 1e-7);
   // Log value accumulated through ratios matches from-scratch.
   double brute, sign;
-  brute_logdet(*s.spos, *s.p, 0, kNel, brute, sign);
+  brute_logdet(*s.spos, *s.p, kNel, brute, sign);
   EXPECT_NEAR(s.det->log_value(), brute, 1e-8);
 }
 
@@ -196,9 +107,9 @@ TEST(DiracDeterminant, GradientMatchesFiniteDifference)
     rm[d] -= h;
     double lp, lm, sign;
     s.p->set_pos(k, rp);
-    brute_logdet(*s.spos, *s.p, 0, kNel, lp, sign);
+    brute_logdet(*s.spos, *s.p, kNel, lp, sign);
     s.p->set_pos(k, rm);
-    brute_logdet(*s.spos, *s.p, 0, kNel, lm, sign);
+    brute_logdet(*s.spos, *s.p, kNel, lm, sign);
     s.p->set_pos(k, r0);
     EXPECT_NEAR(g[k][d], (lp - lm) / (2 * h), 1e-4) << d;
   }
@@ -218,7 +129,7 @@ TEST(DiracDeterminant, LaplacianMatchesFiniteDifference)
   const int k = 6;
   const double h = 5e-4;
   double l0, sign;
-  brute_logdet(*s.spos, *s.p, 0, kNel, l0, sign);
+  brute_logdet(*s.spos, *s.p, kNel, l0, sign);
   double lap_fd = 0;
   for (unsigned d = 0; d < 3; ++d)
   {
@@ -228,9 +139,9 @@ TEST(DiracDeterminant, LaplacianMatchesFiniteDifference)
     rm[d] -= h;
     double lp, lm;
     s.p->set_pos(k, rp);
-    brute_logdet(*s.spos, *s.p, 0, kNel, lp, sign);
+    brute_logdet(*s.spos, *s.p, kNel, lp, sign);
     s.p->set_pos(k, rm);
-    brute_logdet(*s.spos, *s.p, 0, kNel, lm, sign);
+    brute_logdet(*s.spos, *s.p, kNel, lm, sign);
     s.p->set_pos(k, r0);
     lap_fd += (lp - 2 * l0 + lm) / (h * h);
   }

@@ -411,27 +411,13 @@ TEST(LayoutParity, HexagonalABRowsBitwiseIdentical)
 namespace
 {
 
-DriverConfig parity_config(int steps, int walkers)
-{
-  DriverConfig cfg;
-  cfg.tau = 0.02;
-  cfg.steps = steps;
-  cfg.num_walkers = walkers;
-  cfg.seed = 20170708;
-  cfg.recompute_period = 3;
-  cfg.num_threads = 1;
-  return cfg;
-}
-
 RunResult run_graphite(LayoutMode layout, DTUpdateMode mode, bool dmc, int steps, int walkers)
 {
   BuildOptions opt;
   opt.layout = layout;
   opt.dt_mode = mode;
-  auto sys = build_system<double>(workload_spec(Workload::Graphite), opt);
-  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, parity_config(steps, walkers));
-  driver.initialize_population();
-  return dmc ? driver.run_dmc() : driver.run_vmc();
+  return build_and_run<double>(workload_spec(Workload::Graphite),
+                               short_chain_config(20170708, steps, walkers), dmc, opt);
 }
 
 } // namespace

@@ -19,17 +19,7 @@ using namespace qmcxx::testing;
 namespace
 {
 
-DriverConfig test_config(int steps = 4, int walkers = 4)
-{
-  DriverConfig cfg;
-  cfg.tau = 0.02;
-  cfg.steps = steps;
-  cfg.num_walkers = walkers;
-  cfg.seed = 77;
-  cfg.recompute_period = 3;
-  cfg.num_threads = 1;
-  return cfg;
-}
+constexpr std::uint64_t kSeed = 77;
 
 } // namespace
 
@@ -155,7 +145,7 @@ TEST(VmcDriver, RunsAndProducesFiniteStatistics)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, test_config(6, 4));
+  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, short_chain_config(kSeed, 6, 4));
   driver.initialize_population();
   const RunResult res = driver.run_vmc();
   ASSERT_EQ(res.generations.size(), 6u);
@@ -170,13 +160,45 @@ TEST(VmcDriver, RunsAndProducesFiniteStatistics)
     EXPECT_GE(g.variance, 0.0);
 }
 
+TEST(VmcDriver, ZeroWidthJastrowRunsWithDrift)
+{
+  // j1_width 0 (which the spec parser rejects) makes every J1 value NaN.
+  // The NaN gradient must not become a NaN drift and so a NaN proposal:
+  // the generation completes and every position stays finite.
+  SystemSpec spec = tiny_spec();
+  spec.species[0].j1_width = 0.0;
+  auto sys = build_system<double>(spec, BuildOptions{});
+  const DriverConfig cfg = short_chain_config(kSeed, 1, 2);
+  ASSERT_TRUE(cfg.use_drift);
+  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
+  driver.initialize_population();
+  EXPECT_EQ(driver.run_vmc().generations.size(), 1u);
+  for (const auto& w : driver.population().walkers)
+    for (const auto& r : w->R)
+      EXPECT_TRUE(std::isfinite(r[0]) && std::isfinite(r[1]) && std::isfinite(r[2]));
+}
+
+TEST(LimitedDrift, NonFiniteGradientGivesZeroDrift)
+{
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const TinyVector<double, 3>& grad :
+       {TinyVector<double, 3>{nan, 0.5, 0.0}, TinyVector<double, 3>{0.0, -inf, 1.0}})
+  {
+    const TinyVector<double, 3> d = detail::limited_drift(grad, 0.02);
+    EXPECT_EQ(d[0], 0.0);
+    EXPECT_EQ(d[1], 0.0);
+    EXPECT_EQ(d[2], 0.0);
+  }
+}
+
 TEST(VmcDriver, DeterministicForSeed)
 {
   BuildOptions opt;
   auto s1 = build_system<double>(tiny_spec(), opt);
   auto s2 = build_system<double>(tiny_spec(), opt);
-  QMCDriver<double> d1(*s1.elec, *s1.twf, *s1.ham, test_config());
-  QMCDriver<double> d2(*s2.elec, *s2.twf, *s2.ham, test_config());
+  QMCDriver<double> d1(*s1.elec, *s1.twf, *s1.ham, short_chain_config(kSeed));
+  QMCDriver<double> d2(*s2.elec, *s2.twf, *s2.ham, short_chain_config(kSeed));
   d1.initialize_population();
   d2.initialize_population();
   expect_chains_bitwise(d1.run_vmc(), d2.run_vmc());
@@ -192,8 +214,8 @@ TEST(VmcDriver, RefAndCurrentEnergiesTrackEachOther)
   soa.soa_layout = true;
   auto s1 = build_system<double>(tiny_spec(), aos);
   auto s2 = build_system<double>(tiny_spec(), soa);
-  QMCDriver<double> d1(*s1.elec, *s1.twf, *s1.ham, test_config(4, 3));
-  QMCDriver<double> d2(*s2.elec, *s2.twf, *s2.ham, test_config(4, 3));
+  QMCDriver<double> d1(*s1.elec, *s1.twf, *s1.ham, short_chain_config(kSeed, 4, 3));
+  QMCDriver<double> d2(*s2.elec, *s2.twf, *s2.ham, short_chain_config(kSeed, 4, 3));
   d1.initialize_population();
   d2.initialize_population();
   const RunResult r1 = d1.run_vmc();
@@ -208,7 +230,7 @@ TEST(DmcDriver, PopulationStaysBoundedAndEnergiesFinite)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  DriverConfig cfg = test_config(10, 6);
+  DriverConfig cfg = short_chain_config(kSeed, 10, 6);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const RunResult res = driver.run_dmc();
@@ -228,7 +250,7 @@ TEST(DmcDriver, MultiThreadedRunMatchesWalkerCount)
 {
   BuildOptions opt;
   auto sys = build_system<float>(tiny_spec(), opt);
-  DriverConfig cfg = test_config(5, 8);
+  DriverConfig cfg = short_chain_config(kSeed, 5, 8);
   cfg.num_threads = 2; // oversubscribed on 1 core, still must be correct
   QMCDriver<float> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
@@ -245,35 +267,35 @@ TEST(DriverConfig, InvalidValuesAreRejectedAtConstruction)
   auto make = [&](DriverConfig cfg) {
     QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   };
-  DriverConfig bad_tau = test_config();
+  DriverConfig bad_tau = short_chain_config(kSeed);
   bad_tau.tau = 0.0;
   EXPECT_THROW(make(bad_tau), std::invalid_argument);
   bad_tau.tau = -0.01;
   EXPECT_THROW(make(bad_tau), std::invalid_argument);
-  DriverConfig bad_walkers = test_config();
+  DriverConfig bad_walkers = short_chain_config(kSeed);
   bad_walkers.num_walkers = 0;
   EXPECT_THROW(make(bad_walkers), std::invalid_argument);
-  DriverConfig bad_steps = test_config();
+  DriverConfig bad_steps = short_chain_config(kSeed);
   bad_steps.steps = -1;
   EXPECT_THROW(make(bad_steps), std::invalid_argument);
-  DriverConfig bad_crowd = test_config();
+  DriverConfig bad_crowd = short_chain_config(kSeed);
   bad_crowd.crowd_size = 0;
   EXPECT_THROW(make(bad_crowd), std::invalid_argument);
-  DriverConfig bad_threads = test_config();
+  DriverConfig bad_threads = short_chain_config(kSeed);
   bad_threads.num_threads = -1;
   EXPECT_THROW(make(bad_threads), std::invalid_argument);
-  DriverConfig hw_threads = test_config();
+  DriverConfig hw_threads = short_chain_config(kSeed);
   hw_threads.num_threads = 0; // 0 = hardware default, valid
   EXPECT_NO_THROW(make(hw_threads));
-  DriverConfig bad_delay = test_config();
+  DriverConfig bad_delay = short_chain_config(kSeed);
   bad_delay.delay_rank = 0;
   EXPECT_THROW(make(bad_delay), std::invalid_argument);
   bad_delay.delay_rank = -2;
   EXPECT_THROW(make(bad_delay), std::invalid_argument);
-  DriverConfig delayed = test_config();
+  DriverConfig delayed = short_chain_config(kSeed);
   delayed.delay_rank = 4; // Woodbury window, valid
   EXPECT_NO_THROW(make(delayed));
-  EXPECT_NO_THROW(make(test_config()));
+  EXPECT_NO_THROW(make(short_chain_config(kSeed)));
 }
 
 TEST(Statistics, WelfordVarianceSurvivesCatastrophicCancellation)

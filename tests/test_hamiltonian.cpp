@@ -185,10 +185,12 @@ TEST(CoulombEI, CoreRegularizationReducesSingularity)
   elec.add_species("u", -1.0);
   elec.create({1});
   elec.set_pos(0, {4.001, 4, 4}); // nearly on top of the ion
+  const int table_ei = elec.add_table(std::make_unique<SoaDistanceTableAB<double>>(lat, ions, 1));
+  elec.update();
   TrialWaveFunction<double> twf(1);
 
-  CoulombEI<double> bare(ions, {0.0});
-  CoulombEI<double> soft(ions, {0.8});
+  CoulombEI<double> bare(ions, {0.0}, table_ei);
+  CoulombEI<double> soft(ions, {0.8}, table_ei);
   const double e_bare = bare.evaluate(elec, twf);
   const double e_soft = soft.evaluate(elec, twf);
   EXPECT_LT(e_bare, -1000.0); // -Z/r with r = 1e-3

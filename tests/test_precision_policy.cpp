@@ -23,42 +23,13 @@
 
 using namespace qmcxx;
 using namespace qmcxx::testing;
+using namespace qmcxx::testing::det_fixture;
 
 namespace
 {
 
-constexpr int kNel = 10;
-
 template<typename TR>
-struct DetSystemT
-{
-  std::unique_ptr<ParticleSet<TR>> p;
-  std::shared_ptr<SPOSet<TR>> spos;
-  std::unique_ptr<DiracDeterminant<TR>> det;
-};
-
-template<typename TR>
-DetSystemT<TR> make_det_system(std::uint64_t seed = 31, int delay = 1)
-{
-  DetSystemT<TR> s;
-  s.p = std::make_unique<ParticleSet<TR>>("e", Lattice::cubic(5.5));
-  s.p->add_species("u", -1.0);
-  s.p->create({kNel});
-  RandomGenerator rng(seed);
-  randomize_positions(*s.p, rng);
-  s.p->update();
-  auto backend = std::make_shared<MultiBspline3D<TR>>();
-  fill_synthetic_orbitals<TR>(*backend, 10, 10, 10, kNel, /*seed=*/2026);
-  s.spos = std::make_shared<BsplineSPOSetSoA<TR>>(s.p->lattice(), backend);
-  if (delay > 1)
-    s.det = std::make_unique<DiracDeterminantDelayed<TR>>(s.spos, 0, kNel, delay);
-  else
-    s.det = std::make_unique<DiracDeterminant<TR>>(s.spos, 0, kNel);
-  return s;
-}
-
-template<typename TR>
-void evaluate_fresh(DetSystemT<TR>& s)
+void evaluate_fresh(DetSystem<TR>& s)
 {
   std::vector<TinyVector<double, 3>> g(kNel);
   std::vector<double> l(kNel);

@@ -32,17 +32,7 @@ std::string tmp_path(const std::string& name)
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-DriverConfig test_config(int steps = 4, int walkers = 4)
-{
-  DriverConfig cfg;
-  cfg.tau = 0.02;
-  cfg.steps = steps;
-  cfg.num_walkers = walkers;
-  cfg.seed = 77;
-  cfg.recompute_period = 3;
-  cfg.num_threads = 1;
-  return cfg;
-}
+constexpr std::uint64_t kSeed = 77;
 
 /// A synthetic, driver-free population for format-level tests.
 io::PopulationSnapshot synthetic_snapshot()
@@ -85,7 +75,6 @@ void expect_snapshots_identical(const io::PopulationSnapshot& a, const io::Popul
   EXPECT_EQ(a.precision_bytes, b.precision_bytes);
   EXPECT_EQ(a.workload_fingerprint, b.workload_fingerprint);
   EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.buffers_stored, b.buffers_stored);
   EXPECT_EQ(a.generation, b.generation);
   EXPECT_EQ(a.master_seed, b.master_seed);
   EXPECT_EQ(a.tau, b.tau);
@@ -182,20 +171,6 @@ TEST(SnapshotFile, RoundTripIsBitwise)
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotFile, RoundTripWithoutBuffers)
-{
-  io::PopulationSnapshot snap = synthetic_snapshot();
-  snap.buffers_stored = false;
-  for (auto& w : snap.walkers)
-    w.buffer.clear();
-  const std::string path = tmp_path("qmcxx_nobuf.snap");
-  io::write_snapshot_file(path, snap);
-  const io::PopulationSnapshot back = io::read_snapshot_file(path);
-  EXPECT_FALSE(back.buffers_stored);
-  expect_snapshots_identical(snap, back);
-  std::filesystem::remove(path);
-}
-
 TEST(SnapshotFile, RejectsBadMagic)
 {
   const std::string path = tmp_path("qmcxx_badmagic.snap");
@@ -282,6 +257,45 @@ TEST(SnapshotFile, RejectsCorruptPayloadByCrc)
         catch (const std::runtime_error& e)
         {
           EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
+          throw;
+        }
+      },
+      std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotFile, RejectsBuffersFlagZero)
+{
+  // A file whose buffers-stored flag is 0 (no walker buffers) fails the
+  // parse even with a valid CRC: resume needs the buffers.
+  const std::string path = tmp_path("qmcxx_nobuf.snap");
+  io::write_snapshot_file(path, synthetic_snapshot());
+  std::vector<char> bytes(std::filesystem::file_size(path));
+  std::ifstream(path, std::ios::binary)
+      .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // Payload offset 20: after u64 master_seed, f64 tau and u32 kind.
+  std::memset(bytes.data() + 40 + 20, 0, sizeof(std::uint32_t));
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 40; i < bytes.size(); ++i)
+  {
+    crc ^= static_cast<unsigned char>(bytes[i]);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  crc ^= 0xffffffffu;
+  std::memcpy(bytes.data() + 32, &crc, sizeof(crc)); // header payload_crc32
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_THROW(
+      {
+        try
+        {
+          (void)io::read_snapshot_file(path);
+        }
+        catch (const std::runtime_error& e)
+        {
+          EXPECT_NE(std::string(e.what()).find("buffers-stored flag is 0"), std::string::npos)
+              << e.what();
           throw;
         }
       },
@@ -412,7 +426,7 @@ TEST(DriverSnapshot, CaptureRestoreRoundTripsPopulation)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  DriverConfig cfg = test_config(3, 3);
+  DriverConfig cfg = short_chain_config(kSeed, 3, 3);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   (void)driver.run_vmc();
@@ -430,7 +444,7 @@ TEST(DriverSnapshot, FailedRestoreLeavesDriverUntouched)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  const DriverConfig cfg = test_config(2, 2);
+  const DriverConfig cfg = short_chain_config(kSeed, 2, 2);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const io::PopulationSnapshot before = driver.capture_snapshot(0, io::ChainKind::VMC);
@@ -450,7 +464,7 @@ TEST(DriverSnapshot, RejectsChainKindMismatch)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  const DriverConfig cfg = test_config(2, 2);
+  const DriverConfig cfg = short_chain_config(kSeed, 2, 2);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   const io::PopulationSnapshot vmc_snap = driver.capture_snapshot(1, io::ChainKind::VMC);
@@ -465,7 +479,7 @@ TEST(DriverSnapshot, PrecisionTagMismatchRejected)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  const DriverConfig cfg = test_config(2, 2);
+  const DriverConfig cfg = short_chain_config(kSeed, 2, 2);
   QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
   driver.initialize_population();
   io::PopulationSnapshot snap = driver.capture_snapshot(0, io::ChainKind::VMC);
@@ -477,7 +491,7 @@ TEST(DriverSnapshot, ConfigValidationRejectsBadCheckpointKnobs)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  DriverConfig cfg = test_config(2, 2);
+  DriverConfig cfg = short_chain_config(kSeed, 2, 2);
   cfg.checkpoint_every = -1;
   EXPECT_THROW(QMCDriver<double>(*sys.elec, *sys.twf, *sys.ham, cfg), std::invalid_argument);
   cfg.checkpoint_every = 2; // > 0 but no path
@@ -507,7 +521,7 @@ void check_exact_resume(bool dmc, int crowd_head, int threads_head, int crowd_ta
   const int steps = 5, cut = 2;
   const io::ChainKind kind = dmc ? io::ChainKind::DMC : io::ChainKind::VMC;
 
-  DriverConfig full_cfg = test_config(steps, 4);
+  DriverConfig full_cfg = short_chain_config(kSeed, steps, 4);
   full_cfg.crowd_size = crowd_head;
   full_cfg.num_threads = threads_head;
   QMCDriver<double> full(*sys.elec, *sys.twf, *sys.ham, full_cfg);
@@ -515,7 +529,7 @@ void check_exact_resume(bool dmc, int crowd_head, int threads_head, int crowd_ta
   const RunResult ref = dmc ? full.run_dmc() : full.run_vmc();
 
   const std::string path = tmp_path("qmcxx_parity.snap");
-  DriverConfig head_cfg = test_config(cut, 4);
+  DriverConfig head_cfg = short_chain_config(kSeed, cut, 4);
   head_cfg.crowd_size = crowd_head;
   head_cfg.num_threads = threads_head;
   head_cfg.checkpoint_every = cut;
@@ -524,7 +538,7 @@ void check_exact_resume(bool dmc, int crowd_head, int threads_head, int crowd_ta
   head.initialize_population();
   const RunResult head_res = dmc ? head.run_dmc() : head.run_vmc();
 
-  DriverConfig tail_cfg = test_config(steps, 4);
+  DriverConfig tail_cfg = short_chain_config(kSeed, steps, 4);
   tail_cfg.crowd_size = crowd_tail;
   tail_cfg.num_threads = threads_tail;
   QMCDriver<double> tail(*sys.elec, *sys.twf, *sys.ham, tail_cfg);
@@ -563,30 +577,6 @@ TEST(ExactResume, DmcAcrossDecompositionChange)
   check_exact_resume(false, 1, 1, 4, 4);
 }
 
-TEST(ExactResume, RecomputeFlagResumesStatistically)
-{
-  // Dropping the buffers still restores and runs; exact energies may
-  // (and generally do) differ in low bits, so only sanity is checked.
-  BuildOptions opt;
-  auto sys = build_system<double>(tiny_spec(), opt);
-  const DriverConfig cfg = test_config(3, 3);
-  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
-  driver.initialize_population();
-  (void)driver.run_vmc();
-  const io::PopulationSnapshot slim =
-      driver.capture_snapshot(3, io::ChainKind::VMC, /*store_buffers=*/false);
-  EXPECT_FALSE(slim.buffers_stored);
-  EXPECT_LT(io::snapshot_payload_bytes(slim),
-            io::snapshot_payload_bytes(driver.capture_snapshot(3, io::ChainKind::VMC)));
-
-  QMCDriver<double> resumed(*sys.elec, *sys.twf, *sys.ham, cfg);
-  resumed.restore_snapshot(slim);
-  const RunResult r = resumed.run_vmc();
-  EXPECT_TRUE(r.generations.empty()); // start == steps: chain is complete
-  for (const auto& w : resumed.population().walkers)
-    EXPECT_GT(w->buffer.size(), 0u); // buffers were rebuilt
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level resume (run_engine + real workloads)
 // ---------------------------------------------------------------------------
@@ -603,7 +593,7 @@ void check_engine_resume(Workload workload, bool dmc, int crowd, int threads)
   ref_spec.workload = workload;
   ref_spec.variant = EngineVariant::Current;
   ref_spec.dmc = dmc;
-  ref_spec.driver = test_config(steps, 3);
+  ref_spec.driver = short_chain_config(kSeed, steps, 3);
   ref_spec.driver.crowd_size = 4;
   ref_spec.driver.num_threads = 1;
   const EngineReport ref = run_engine(ref_spec);
@@ -651,7 +641,7 @@ TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
   spec.workload = Workload::Graphite;
   spec.variant = EngineVariant::Current;
   spec.dmc = false;
-  spec.driver = test_config(2, 2);
+  spec.driver = short_chain_config(kSeed, 2, 2);
   spec.driver.checkpoint_every = 2;
   spec.driver.checkpoint_path = path;
   (void)run_engine(spec);

@@ -162,6 +162,18 @@ TEST(SpecParser, RejectsUndersizedGrid)
                      "grid dimensions");
 }
 
+TEST(SpecParser, RejectsNonPositiveWidths)
+{
+  SystemSpec zero_j1 = tiny_spec();
+  zero_j1.species[0].j1_width = 0.0;
+  expect_parse_fails(io::serialize_system_spec(zero_j1),
+                     "species 'X' needs a positive \"j1_width\"");
+  SystemSpec negative_nl = tiny_spec();
+  negative_nl.species[0].nl_width = -0.5;
+  expect_parse_fails(io::serialize_system_spec(negative_nl),
+                     "species 'X' needs a positive \"nl_width\"");
+}
+
 // ---- string escaping ---------------------------------------------------
 
 TEST(JsonEscape, QuotesBackslashesAndControlBytes)

@@ -1,22 +1,31 @@
 // Shared fixtures: small synthetic particle systems for unit tests, the
-// 16-electron test system, and the bitwise chain comparator.
+// 16-electron test system, the Slater-determinant system, the short-chain
+// driver harness, and the bitwise chain comparator.
 #ifndef QMCXX_TESTS_TEST_UTILS_H
 #define QMCXX_TESTS_TEST_UTILS_H
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "drivers/qmc_drivers.h"
 #include "io/job_spec.h"
+#include "numerics/linalg.h"
 #include "numerics/rng.h"
 #include "numerics/spline_builder.h"
 #include "particle/distance_table_aos.h"
 #include "particle/distance_table_soa.h"
 #include "particle/lattice.h"
 #include "particle/particle_set.h"
+#include "wavefunction/delayed_update.h"
+#include "wavefunction/dirac_determinant.h"
+#include "wavefunction/spo_set.h"
+#include "workloads/system_builder.h"
 #include "workloads/system_spec.h"
 
 namespace qmcxx::testing
@@ -92,6 +101,131 @@ inline std::vector<std::string> committed_spec_paths()
 {
   return io::list_json_files(QMCXX_SPECS_DIR);
 }
+
+/// Driver settings of the short chains the driver-level tests compare:
+/// tau 0.02, one thread, a from-scratch recompute every third
+/// generation.
+inline DriverConfig short_chain_config(std::uint64_t seed, int steps = 4, int walkers = 4,
+                                       int crowd_size = DriverConfig{}.crowd_size,
+                                       int delay_rank = 1)
+{
+  DriverConfig cfg;
+  cfg.tau = 0.02;
+  cfg.steps = steps;
+  cfg.num_walkers = walkers;
+  cfg.seed = seed;
+  cfg.recompute_period = 3;
+  cfg.num_threads = 1;
+  cfg.crowd_size = crowd_size;
+  cfg.delay_rank = delay_rank;
+  return cfg;
+}
+
+/// Build `spec` with `opt` at cfg's delay rank, initialize a population
+/// and run one VMC or DMC chain.
+template<typename TR>
+RunResult build_and_run(const SystemSpec& spec, const DriverConfig& cfg, bool dmc,
+                        BuildOptions opt = {})
+{
+  opt.delay_rank = cfg.delay_rank;
+  auto sys = build_system<TR>(spec, opt);
+  QMCDriver<TR> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
+  driver.initialize_population();
+  return dmc ? driver.run_dmc() : driver.run_vmc();
+}
+
+/// The determinant tests' system: kNel same-spin electrons in a cube of
+/// side kBox, with synthetic orbitals on a kGrid^3 grid.
+namespace det_fixture
+{
+
+inline constexpr int kNel = 10;
+inline constexpr double kBox = 5.5;
+inline constexpr int kGrid = 10;
+
+template<typename TR>
+std::shared_ptr<SPOSet<TR>> make_spos(const Lattice& lat)
+{
+  auto backend = std::make_shared<MultiBspline3D<TR>>();
+  fill_synthetic_orbitals<TR>(*backend, kGrid, kGrid, kGrid, kNel, /*seed=*/2026);
+  return std::make_shared<BsplineSPOSetSoA<TR>>(lat, backend);
+}
+
+template<typename TR>
+struct DetSystem
+{
+  std::unique_ptr<ParticleSet<TR>> p;
+  std::shared_ptr<SPOSet<TR>> spos;
+  std::unique_ptr<DiracDeterminant<TR>> det;
+};
+
+/// Positions scattered from `seed`, and a determinant over all kNel
+/// electrons: rank-1 updates, or a Woodbury window when delay > 1.
+template<typename TR = double>
+DetSystem<TR> make_det_system(std::uint64_t seed = 31, int delay = 1)
+{
+  DetSystem<TR> s;
+  s.p = std::make_unique<ParticleSet<TR>>("e", Lattice::cubic(kBox));
+  s.p->add_species("u", -1.0);
+  s.p->create({kNel});
+  RandomGenerator rng(seed);
+  randomize_positions(*s.p, rng);
+  s.p->update();
+  s.spos = make_spos<TR>(s.p->lattice());
+  if (delay > 1)
+    s.det = std::make_unique<DiracDeterminantDelayed<TR>>(s.spos, 0, kNel, delay);
+  else
+    s.det = std::make_unique<DiracDeterminant<TR>>(s.spos, 0, kNel);
+  return s;
+}
+
+/// Log|det| and sign of the first nel electrons' Slater matrix, from
+/// scratch by double LU.
+inline void brute_logdet(SPOSet<double>& spos, const ParticleSet<double>& p, int nel,
+                         double& logdet, double& sign)
+{
+  aligned_vector<double> psi(getAlignedSize<double>(nel));
+  Matrix<double> a(nel, nel);
+  for (int i = 0; i < nel; ++i)
+  {
+    spos.evaluate_v(p.pos(i), psi.data());
+    for (int j = 0; j < nel; ++j)
+      a(i, j) = psi[j];
+  }
+  Matrix<double> inv;
+  linalg::invert_matrix(a, inv, logdet, sign);
+}
+
+/// Max |A A^-1 - I| of a determinant's transposed-inverse storage
+/// against the current orbital matrix A(i,j) = phi_j(r_i).
+template<typename TR>
+double inverse_residual(SPOSet<TR>& spos, const ParticleSet<TR>& p,
+                        const DiracDeterminant<TR>& det)
+{
+  const int n = det.size();
+  aligned_vector<TR> psi(getAlignedSize<TR>(n));
+  Matrix<double> a(n, n);
+  for (int i = 0; i < n; ++i)
+  {
+    spos.evaluate_v(p.pos(det.first() + i), psi.data());
+    for (int j = 0; j < n; ++j)
+      a(i, j) = static_cast<double>(psi[j]);
+  }
+  const auto& minv = det.inverse_transposed();
+  FullPrecReal maxerr = 0;
+  // (A * A^-1)(i,j) = sum_k A(i,k) minv(j,k).
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+    {
+      FullPrecReal sum = 0;
+      for (int k = 0; k < n; ++k)
+        sum += a(i, k) * static_cast<double>(minv(j, k));
+      maxerr = std::max(maxerr, std::abs(sum - (i == j ? 1.0 : 0.0)));
+    }
+  return maxerr;
+}
+
+} // namespace det_fixture
 
 inline ::testing::AssertionResult differs(const std::string& field, double x, double y)
 {

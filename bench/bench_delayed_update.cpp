@@ -6,9 +6,8 @@
 // gemms. qmcxx implements the engine (delayed_update.h) and this bench
 // sweeps the delay factor for determinant sizes covering NiO-32/64,
 // timing a full sweep of accepted row replacements (ratio + bind +
-// flush). Results go to stdout and to a machine-readable
-// BENCH_delayed_update.json (schema qmcxx-bench-v1): per delay factor
-// the sweep time, updates/s and the speedup over the rank-1 window.
+// flush): per delay factor the sweep time, updates/s and the speedup
+// over the rank-1 window.
 #include "bench/bench_common.h"
 #include "instrument/stopwatch.h"
 #include "numerics/linalg.h"
@@ -68,8 +67,7 @@ int main()
   bench::header("Sec. 8.4: delayed-update DetUpdate sweep (Woodbury, BLAS3)",
                 "Mathuriya et al. SC'17, Sec. 8.4 (future work, implemented here)");
 
-  bench::BenchJsonWriter json("delayed_update");
-  const int reps = bench::long_mode() ? 5 : 3;
+  const int reps = 3;
   for (int n : {192, 384})
   {
     std::printf("\ndeterminant size N = %d (NiO-%s per-spin block):\n", n,
@@ -84,16 +82,9 @@ int main()
         base = secs;
       rows.push_back({std::to_string(delay), fmt(secs * 1e3, 2) + " ms",
                       fmt(base / secs, 2) + "x", fmt(n / secs, 0)});
-      json.add_kernel_record(n == 192 ? "NiO-32" : "NiO-64", "Current");
-      json.add_metric("determinant_size", n);
-      json.add_metric("delay", delay);
-      json.add_metric("sweep_seconds", secs);
-      json.add_metric("updates_per_second", n / secs);
-      json.add_metric("speedup_vs_rank1", base / secs);
     }
     print_table(rows);
   }
-  json.write();
 
   std::printf("\npaper shape check: moderate delay factors beat rank-1 updates\n"
               "by batching the inverse update into cache-friendly BLAS3-style\n"

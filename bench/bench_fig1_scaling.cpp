@@ -13,10 +13,9 @@
 //
 // --real-threads additionally runs a measured on-node thread sweep:
 // NiO-32 crowds execute concurrently on the drivers' ThreadPool for
-// num_threads in {1, 2, 4} and the measured throughputs land in
-// BENCH_fig1_scaling.json next to the NiO-64 records (tagged by the
-// "num_threads" metric). Chains are bitwise-identical across the sweep,
-// so the speedup is pure execution overlap.
+// num_threads in {1, 2, 4} and prints the measured throughputs. Chains
+// are bitwise-identical across the sweep, so the speedup is pure
+// execution overlap.
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -26,7 +25,7 @@ using namespace qmcxx;
 namespace
 {
 
-void run_real_thread_sweep(bench::BenchJsonWriter& json)
+void run_real_thread_sweep()
 {
   std::printf("\nmeasured on-node thread scaling (NiO-32 Current, crowd-per-thread):\n");
   std::vector<std::vector<std::string>> rows;
@@ -41,7 +40,7 @@ void run_real_thread_sweep(bench::BenchJsonWriter& json)
     spec.driver = bench::default_config(Workload::NiO32);
     spec.driver.num_walkers = 8; // 4 crowds of 2: enough tasks for 4 threads
     spec.driver.crowd_size = 2;
-    spec.driver.steps = bench::long_mode() ? 4 : 2;
+    spec.driver.steps = 2;
     spec.driver.num_threads = threads;
     const EngineReport rep = run_engine(spec);
     if (threads == 1)
@@ -49,10 +48,6 @@ void run_real_thread_sweep(bench::BenchJsonWriter& json)
     const double speedup = rep.result.throughput / base;
     rows.push_back({std::to_string(threads), "4", fmt(rep.result.throughput, 2) + "/s",
                     fmt(speedup, 2) + "x"});
-    json.add_engine_record("NiO-32", "Current", rep);
-    json.add_metric("num_threads", threads);
-    json.add_metric("num_crowds", 4);
-    json.add_metric("speedup_vs_serial", speedup);
   }
   print_table(rows);
   std::printf("(paper Sec. 5: walker crowds on dedicated threads; ideal slope 1.0/thread\n"
@@ -70,7 +65,6 @@ int main(int argc, char** argv)
 
   bench::header("Figure 1: NiO-64 on-node speedup behind the strong scaling, Ref vs Current",
                 "Mathuriya et al. SC'17, Fig. 1");
-  bench::BenchJsonWriter json("fig1_scaling");
 
   // Measure on-node quantities.
   const EngineReport ref = bench::run(Workload::NiO64, EngineVariant::Ref);
@@ -80,12 +74,6 @@ int main(int argc, char** argv)
   const std::size_t wb_ref = ref.walker_bytes / std::max(1, ref.result.generations.back().num_walkers);
   const std::size_t wb_cur = cur.walker_bytes / std::max(1, cur.result.generations.back().num_walkers);
 
-  json.add_engine_record("NiO-64", "Ref", ref);
-  json.add_metric("s_per_walker_step", t_ref);
-  json.add_engine_record("NiO-64", "Current", cur);
-  json.add_metric("s_per_walker_step", t_cur);
-  json.add_metric("on_node_speedup", t_ref / t_cur);
-
   std::printf("host measurements (NiO-64):\n");
   std::printf("  Ref:     %.4f s/walker-step, walker message %s\n", t_ref,
               format_bytes(wb_ref).c_str());
@@ -94,7 +82,6 @@ int main(int argc, char** argv)
   std::printf("  on-node speedup: %.2fx (paper: 2-4.5x)\n", t_ref / t_cur);
 
   if (real_threads)
-    run_real_thread_sweep(json);
-  json.write();
+    run_real_thread_sweep();
   return 0;
 }

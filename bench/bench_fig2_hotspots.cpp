@@ -5,9 +5,7 @@
 // ~50% of the Ref run, and the Current profile (scaled by the speedup so
 // bars are comparable) collapsing those kernels while DetUpdate's share
 // grows (Sec. 8.4: 7% -> 10% for NiO-64). qmcxx reproduces the same
-// decomposition from its built-in kernel timers, and records the raw
-// per-kernel seconds to BENCH_fig2_hotspots.json so the hot-path
-// trajectory (DistTable + Jastrow especially) is tracked run over run.
+// decomposition from its built-in kernel timers.
 #include "bench/bench_common.h"
 
 using namespace qmcxx;
@@ -17,7 +15,6 @@ int main()
   bench::header("Figure 2: normalized hot-spot profiles (NiO-32, NiO-64)",
                 "Mathuriya et al. SC'17, Fig. 2");
 
-  bench::BenchJsonWriter json("fig2_hotspots");
   for (Workload w : {Workload::NiO32, Workload::NiO64})
   {
     const EngineReport ref = bench::run(w, EngineVariant::Ref);
@@ -37,15 +34,6 @@ int main()
         cur.profile.total();
     std::printf("  DetUpdate share: Ref %.1f%% -> Current %.1f%% (paper NiO-64: 7%% -> 10%%)\n",
                 100 * det_ref, 100 * det_cur);
-
-    const std::string name = workload_spec(w).name;
-    json.add_engine_record(name, to_string(EngineVariant::Ref), ref);
-    json.add_engine_record(name, to_string(EngineVariant::Current), cur);
-    json.add_metric("speedup_over_ref", speedup);
-    json.add_metric("dist_table_plus_jastrow_seconds",
-                    cur.profile.seconds[static_cast<int>(Kernel::DistTable)] +
-                        cur.profile.seconds[static_cast<int>(Kernel::J1)] +
-                        cur.profile.seconds[static_cast<int>(Kernel::J2)]);
   }
 
   // Crowd-size sweep of the batched SPO kernels: same NiO-32 Current
@@ -65,14 +53,9 @@ int main()
         rep.profile.seconds[static_cast<int>(Kernel::BsplineV)];
     std::printf("  %-6d %12.3f %14.3f %14.1f\n", crowd, rep.result.seconds, bspline_sec,
                 rep.result.throughput);
-    json.add_engine_record(workload_spec(Workload::NiO32).name, to_string(EngineVariant::Current),
-                           rep);
-    json.add_metric("crowd_size", crowd);
-    json.add_metric("bspline_kernel_seconds", bspline_sec);
   }
 
   std::printf("\npaper shape check: DistTable/J2/Bspline dominate Ref; Current\n"
               "shrinks them so the relative share of DetUpdate and Other grows.\n");
-  json.write();
   return 0;
 }

@@ -7,7 +7,7 @@
 // (driver.precision, no rebuild of the binary) on two workloads and
 // reports the float-vs-double walltime ratio with the drift guard on,
 // plus the guard's own telemetry (max residual, refresh count) so the
-// record shows the accuracy safeguard was active during the timing.
+// table shows the accuracy safeguard was active during the timing.
 #include "bench/bench_common.h"
 
 using namespace qmcxx;
@@ -37,29 +37,14 @@ int main()
   bench::header("Mixed precision: single vs double walltime, drift guard on",
                 "Mathuriya et al. SC'17, Sec. 7.2");
 
-  bench::BenchJsonWriter json("mixed_precision");
-
   for (Workload w : {Workload::Graphite, Workload::NiO32})
   {
     const std::string name = workload_spec(w).name;
     EngineReport reports[2];
     const Precision precisions[2] = {Precision::Single, Precision::Double};
     for (int c = 0; c < 2; ++c)
-    {
       reports[c] = run_with_precision(w, precisions[c]);
-      json.add_engine_record(name, to_string(variant_for(EngineLayout::Soa, precisions[c])),
-                             reports[c]);
-      json.add_metric("precision_bytes", precision_bytes(precisions[c]));
-      json.add_metric("walltime_seconds", reports[c].result.seconds);
-      json.add_metric("max_drift_residual", reports[c].result.max_drift_residual);
-      json.add_metric("drift_rows_sampled",
-                      static_cast<double>(reports[c].result.total_drift_rows_sampled));
-      json.add_metric("drift_refreshes",
-                      static_cast<double>(reports[c].result.total_drift_refreshes));
-    }
-
     const double speedup = reports[1].result.seconds / reports[0].result.seconds;
-    json.add_metric("single_over_double_walltime_speedup", speedup);
 
     std::printf("\n%s (Soa layout, drift guard on):\n", name.c_str());
     std::vector<std::vector<std::string>> rows;
@@ -79,7 +64,5 @@ int main()
                 "  MP stage alone, more where the working set leaves cache)\n",
                 speedup);
   }
-
-  json.write();
   return 0;
 }

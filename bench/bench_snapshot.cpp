@@ -4,8 +4,6 @@
 // -- the anonymous buffer dominates it.
 //
 //   ./bench_snapshot            # Graphite + NiO-64, Current engine
-//
-// Emits BENCH_snapshot.json (schema qmcxx-bench-v1).
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -57,7 +55,6 @@ int main()
   bench::header("Snapshot serialization: bytes/walker and bandwidth",
                 "checkpoint/restart cost model (Fig. 4 per-walker state)");
 
-  bench::BenchJsonWriter json("snapshot");
   const std::string path =
       (std::filesystem::temp_directory_path() / "qmcxx_bench.snap").string();
 
@@ -66,7 +63,7 @@ int main()
     const SystemSpec info = workload_spec(wl);
     const bool big = wl == Workload::NiO64;
     const int walkers = big ? 2 : 4;
-    const int reps = bench::long_mode() ? 10 : 3;
+    const int reps = 3;
 
     BuildOptions opt;
     opt.soa_layout = true; // the Current engine
@@ -87,15 +84,6 @@ int main()
                 info.num_electrons);
     std::printf("  %9zu B payload  (%8.0f B/walker)  write %7.1f MB/s  read %7.1f MB/s\n",
                 fs.payload_bytes, per_walker, fs.write_mbps, fs.read_mbps);
-
-    json.add_kernel_record(info.name, "Current");
-    json.add_metric("num_walkers", walkers);
-    json.add_metric("snapshot_bytes", static_cast<double>(fs.payload_bytes));
-    json.add_metric("per_walker_bytes", per_walker);
-    json.add_metric("write_MBps", fs.write_mbps);
-    json.add_metric("read_MBps", fs.read_mbps);
   }
-
-  json.write();
   return 0;
 }

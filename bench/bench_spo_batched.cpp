@@ -63,15 +63,14 @@ double best_seconds(Fn&& fn)
 }
 
 template<typename TR>
-void run_precision(const char* variant, bench::BenchJsonWriter& json)
+void run_precision(const char* variant)
 {
   const SystemSpec info = workload_spec(Workload::NiO32);
   MultiBspline3D<TR> spline;
   fill_synthetic_orbitals<TR>(spline, info.grid[0], info.grid[1], info.grid[2], kNorb,
                               /*seed=*/3);
 
-  const int pool = kPool * (bench::long_mode() ? 4 : 1);
-  aligned_vector<TR> ubuf(static_cast<std::size_t>(3 * pool));
+  aligned_vector<TR> ubuf(static_cast<std::size_t>(3 * kPool));
   RandomGenerator rng(5);
   for (std::size_t i = 0; i < ubuf.size(); ++i)
     ubuf[i] = static_cast<TR>(rng.uniform());
@@ -79,7 +78,7 @@ void run_precision(const char* variant, bench::BenchJsonWriter& json)
 
   const std::size_t stride = getAlignedSize<TR>(kNorb);
   std::printf("%s (%d orbitals, grid %dx%dx%d, %d positions/measurement):\n", variant, kNorb,
-              info.grid[0], info.grid[1], info.grid[2], pool);
+              info.grid[0], info.grid[1], info.grid[2], kPool);
   std::printf("  %-6s %14s %14s %9s %14s %14s %9s\n", "crowd", "vgh batch us", "vgh loop us",
               "speedup", "v batch us", "v loop us", "speedup");
 
@@ -87,7 +86,7 @@ void run_precision(const char* variant, bench::BenchJsonWriter& json)
   {
     VghBuffers<TR> bufs(static_cast<std::size_t>(nw) * stride);
     aligned_vector<TR> vals(static_cast<std::size_t>(nw) * stride);
-    const int chunks = pool / nw;
+    const int chunks = kPool / nw;
 
     const FullPrecReal vgh_batched = best_seconds([&] {
       for (int c = 0; c < chunks; ++c)
@@ -116,15 +115,6 @@ void run_precision(const char* variant, bench::BenchJsonWriter& json)
     std::printf("  %-6d %14.3f %14.3f %8.2fx %14.3f %14.3f %8.2fx\n", nw, vgh_batched * us,
                 vgh_scalar * us, vgh_scalar / vgh_batched, v_batched * us, v_scalar * us,
                 v_scalar / v_batched);
-
-    json.add_kernel_record(info.name, variant);
-    json.add_metric("crowd_size", nw);
-    json.add_metric("vgh_batched_us_per_pos", vgh_batched * us);
-    json.add_metric("vgh_scalar_us_per_pos", vgh_scalar * us);
-    json.add_metric("vgh_speedup", vgh_scalar / vgh_batched);
-    json.add_metric("v_batched_us_per_pos", v_batched * us);
-    json.add_metric("v_scalar_us_per_pos", v_scalar * us);
-    json.add_metric("v_speedup", v_scalar / v_batched);
   }
   std::printf("\n");
 }
@@ -135,9 +125,7 @@ int main()
 {
   bench::header("Batched SPO kernels: crowd-vectorized B-spline vgh/v vs per-walker loop",
                 "Mathuriya et al. SC'17, Sec. 5.2 (threading over walkers) extension");
-  bench::BenchJsonWriter json("spo_batched");
-  run_precision<float>("Current", json);
-  run_precision<double>("CurrentDP", json);
-  json.write();
+  run_precision<float>("Current");
+  run_precision<double>("CurrentDP");
   return 0;
 }

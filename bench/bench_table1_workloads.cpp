@@ -6,8 +6,7 @@
 // down while preserving the size ordering (DESIGN.md substitution).
 //
 // A second table covers the committed specs that no Workload names and
-// drives each through the engine via spec_path, recording
-// qmcxx-bench-v1 entries for them too.
+// drives each through the engine via spec_path.
 #include "bench/bench_common.h"
 #include "io/job_spec.h"
 #include "workloads/system_builder.h"
@@ -77,7 +76,6 @@ int main()
   bench::header("Table 1b: spec-ingested systems (qmcxx-spec-v1, specs/)",
                 "spec-driven workload ingestion (no paper counterpart)");
   const std::vector<std::string> spec_files = {"graphite-32.json", "nio-48.json"};
-  bench::BenchJsonWriter json("table1_workloads");
 
   std::vector<std::vector<std::string>> srows;
   srows.push_back({"system", "N", "Nion", "grid", "orbitals/spin", "hash", "samples/s"});
@@ -92,7 +90,6 @@ int main()
     run.dmc = true;
     run.driver = bench::default_config(Workload::Graphite);
     const EngineReport rep = run_engine(run);
-    json.add_engine_record(spec.name, to_string(run.variant), rep);
 
     srows.push_back({spec.name, std::to_string(spec.num_electrons),
                      std::to_string(spec.ion_positions.size()),
@@ -104,6 +101,5 @@ int main()
   print_table(srows);
   std::printf("\nNote: these systems exist only as committed qmcxx-spec-v1 files;\n"
               "each row is a short DMC run ingested through spec_path.\n");
-  json.write();
   return 0;
 }

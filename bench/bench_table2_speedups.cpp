@@ -24,7 +24,6 @@ int main()
 
   std::vector<std::string> host_row{"this host (measured)"};
   std::vector<double> speedups;
-  bench::BenchJsonWriter json("table2_speedups");
   for (const PaperWorkload& row : paper_workloads)
   {
     const Workload w = row.id;
@@ -33,14 +32,9 @@ int main()
     const double speedup = cur.result.throughput / ref.result.throughput;
     speedups.push_back(speedup);
     host_row.push_back(fmt(speedup, 2));
-    const std::string name = workload_spec(w).name;
-    json.add_engine_record(name, to_string(EngineVariant::Ref), ref);
-    json.add_engine_record(name, to_string(EngineVariant::Current), cur);
-    json.add_metric("speedup_over_ref", speedup);
   }
   rows.push_back(host_row);
   print_table(rows);
-  json.write();
 
   std::printf("\npaper shape checks:\n");
   std::printf("  all workloads speed up:                %s\n",

@@ -21,6 +21,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <optional>
 #include <string>
 
 #include "drivers/qmc_system.h"
@@ -36,11 +38,13 @@ void on_signal(int) { g_stop.store(true); }
 } // namespace
 
 int main(int argc, char** argv)
+try
 {
   double budget_s = 3.0;
   int delay_rank = 1;
   int checkpoint_every = 0;
-  std::string checkpoint_path, resume_path, precision;
+  std::string checkpoint_path, resume_path;
+  std::optional<Precision> precision;
   for (int a = 1; a + 1 < argc; a += 2)
   {
     if (!std::strcmp(argv[a], "--seconds"))
@@ -48,7 +52,7 @@ int main(int argc, char** argv)
     if (!std::strcmp(argv[a], "--delay"))
       delay_rank = std::atoi(argv[a + 1]);
     if (!std::strcmp(argv[a], "--precision"))
-      precision = argv[a + 1];
+      precision = io::precision_from_name(argv[a + 1]);
     if (!std::strcmp(argv[a], "--checkpoint"))
       checkpoint_path = argv[a + 1];
     if (!std::strcmp(argv[a], "--checkpoint-every"))
@@ -76,8 +80,7 @@ int main(int argc, char** argv)
     spec.driver.steps = 1;
     spec.driver.num_threads = 1;
     spec.driver.delay_rank = delay_rank;
-    if (!precision.empty())
-      spec.driver.precision.precision = io::precision_from_name(precision);
+    spec.driver.precision.precision = precision;
     EngineReport probe = run_engine(spec);
     const double step_cost = probe.result.seconds;
     spec.driver.steps = std::max(1, static_cast<int>(budget_s / std::max(1e-3, step_cost)));
@@ -107,4 +110,9 @@ int main(int argc, char** argv)
               "1.6x BG/Q; this host's vector width and cache sit between those machines)\n",
               thpt[1] / thpt[0]);
   return 0;
+}
+catch (const std::exception& e)
+{
+  std::fprintf(stderr, "graphite_throughput: %s\n", e.what());
+  return 1;
 }

@@ -1,7 +1,7 @@
 // NiO-32 diffusion Monte Carlo: the paper's flagship strongly-correlated
 // workload (Sec. 4.1), runnable under any engine configuration.
 //
-//   ./nio_dmc [--variant ref|refmp|current] [--precision single|double]
+//   ./nio_dmc [--variant ref|refmp|current|currentdp] [--precision single|double]
 //             [--steps N] [--walkers N] [--tau T] [--threads N] [--nio64]
 //             [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]
 //
@@ -16,7 +16,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <string>
+#include <exception>
 
 #include "drivers/qmc_system.h"
 #include "instrument/report.h"
@@ -31,6 +31,7 @@ void on_signal(int) { g_stop.store(true); }
 } // namespace
 
 int main(int argc, char** argv)
+try
 {
   EngineRunSpec spec;
   spec.workload = Workload::NiO32;
@@ -46,12 +47,7 @@ int main(int argc, char** argv)
     if (!std::strcmp(argv[a], "--nio64"))
       spec.workload = Workload::NiO64;
     else if (a + 1 < argc && !std::strcmp(argv[a], "--variant"))
-    {
-      const std::string v = argv[++a];
-      spec.variant = v == "ref" ? EngineVariant::Ref
-          : v == "refmp"       ? EngineVariant::RefMP
-                               : EngineVariant::Current;
-    }
+      spec.variant = io::variant_from_name(argv[++a]);
     else if (a + 1 < argc && !std::strcmp(argv[a], "--precision"))
       spec.driver.precision.precision = io::precision_from_name(argv[++a]);
     else if (a + 1 < argc && !std::strcmp(argv[a], "--steps"))
@@ -99,4 +95,9 @@ int main(int argc, char** argv)
               format_bytes(rep.peak_bytes).c_str());
   print_profile("kernel profile", rep.profile);
   return 0;
+}
+catch (const std::exception& e)
+{
+  std::fprintf(stderr, "nio_dmc: %s\n", e.what());
+  return 1;
 }

@@ -40,13 +40,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <string>
 
 #include "drivers/qmc_system.h"
 #include "instrument/stopwatch.h"
 #include "io/job_spec.h"
+#include "io/json.h"
 #include "io/snapshot.h"
-#include "io/stream_log.h"
 
 using namespace qmcxx;
 
@@ -91,70 +92,67 @@ std::string generation_record(const std::string& job, int gen, const GenerationS
   // The named observables qualify -- component energies and estimator
   // bins reduce in fixed walker order and never perturb the chain --
   // so extending this record stays a versioned additive change.
-  std::string rec = std::string("{\"type\": \"generation\", \"job\": \"") + io::json_escape(job) +
-      "\", \"gen\": " + std::to_string(gen) + ", \"energy\": " + io::json_number(s.energy) +
-      ", \"variance\": " + io::json_number(s.variance) +
-      ", \"weight\": " + io::json_number(s.weight) +
-      ", \"num_walkers\": " + std::to_string(s.num_walkers) +
-      ", \"acceptance\": " + io::json_number(s.acceptance) +
-      ", \"trial_energy\": " + io::json_number(s.trial_energy) +
+  io::JsonWriter w;
+  w.begin_object()
+      .field("type", "generation")
+      .field("job", job)
+      .field("gen", gen)
+      .field("energy", s.energy)
+      .field("variance", s.variance)
+      .field("weight", s.weight)
+      .field("num_walkers", s.num_walkers)
+      .field("acceptance", s.acceptance)
+      .field("trial_energy", s.trial_energy)
       // Drift-guard telemetry (Sec. 7.2): sampled rows derive purely
       // from the generation counter and walker buffers round-trip the
       // inverse bitwise, so these reduce identically across resume.
-      ", \"max_drift_residual\": " + io::json_number(s.max_drift_residual) +
-      ", \"drift_rows_sampled\": " + std::to_string(s.drift_rows_sampled) +
-      ", \"drift_refreshes\": " + std::to_string(s.drift_refreshes);
+      .field("max_drift_residual", s.max_drift_residual)
+      .field("drift_rows_sampled", s.drift_rows_sampled)
+      .field("drift_refreshes", s.drift_refreshes);
   if (s.labels != nullptr && s.component_energies.size() == s.labels->components.size())
   {
-    rec += ", \"observables\": {";
+    w.key("observables").begin_object();
     for (std::size_t c = 0; c < s.labels->components.size(); ++c)
-    {
-      if (c > 0)
-        rec += ", ";
-      rec += "\"" + s.labels->components[c] + "\": " + io::json_number(s.component_energies[c]);
-    }
-    rec += "}";
+      w.field(s.labels->components[c], s.component_energies[c]);
+    w.end_object();
   }
   if (s.labels != nullptr && !s.labels->estimators.empty() && !s.estimator_bins.empty())
   {
-    rec += ", \"estimators\": {";
+    w.key("estimators").begin_object();
     std::size_t offset = 0;
     for (std::size_t e = 0; e < s.labels->estimators.size(); ++e)
     {
-      if (e > 0)
-        rec += ", ";
-      rec += "\"" + s.labels->estimators[e] + "\": [";
+      w.key(s.labels->estimators[e]).begin_array();
       const std::size_t nb = static_cast<std::size_t>(s.labels->estimator_bins[e]);
       for (std::size_t b = 0; b < nb; ++b)
-      {
-        if (b > 0)
-          rec += ", ";
-        rec += io::json_number(s.estimator_bins[offset + b]);
-      }
-      rec += "]";
+        w.value(s.estimator_bins[offset + b]);
+      w.end_array();
       offset += nb;
     }
-    rec += "}";
+    w.end_object();
   }
-  rec += "}";
-  return rec;
+  return w.end_object().str();
 }
 
 std::string completion_record(const std::string& job, const EngineReport& rep,
                               double budget_mb)
 {
   const double peak_mb = static_cast<double>(rep.peak_bytes) / (1024.0 * 1024.0);
-  const bool exceeded = budget_mb > 0.0 && peak_mb > budget_mb;
-  return std::string("{\"type\": \"job-complete\", \"job\": \"") + io::json_escape(job) +
-      "\", \"generations\": " + std::to_string(rep.result.generations.size()) +
-      ", \"start_generation\": " + std::to_string(rep.result.start_generation) +
-      ", \"mean_energy\": " + io::json_number(rep.result.mean_energy) +
-      ", \"seconds\": " + io::json_number(rep.result.seconds) +
-      ", \"throughput\": " + io::json_number(rep.result.throughput) +
-      ", \"walker_bytes\": " + std::to_string(rep.walker_bytes) +
-      ", \"peak_bytes\": " + std::to_string(rep.peak_bytes) +
-      ", \"mem_budget_mb\": " + io::json_number(budget_mb) +
-      ", \"mem_budget_exceeded\": " + (exceeded ? "true" : "false") + "}";
+  return io::JsonWriter()
+      .begin_object()
+      .field("type", "job-complete")
+      .field("job", job)
+      .field("generations", rep.result.generations.size())
+      .field("start_generation", rep.result.start_generation)
+      .field("mean_energy", rep.result.mean_energy)
+      .field("seconds", rep.result.seconds)
+      .field("throughput", rep.result.throughput)
+      .field("walker_bytes", rep.walker_bytes)
+      .field("peak_bytes", rep.peak_bytes)
+      .field("mem_budget_mb", budget_mb)
+      .field("mem_budget_exceeded", budget_mb > 0.0 && peak_mb > budget_mb)
+      .end_object()
+      .str();
 }
 
 /// Cut a job's stream to its first `generations` lines. QMCDriver
@@ -175,6 +173,16 @@ void truncate_stream(const std::string& path, std::uint64_t generations)
     end = newline + 1;
   }
   io::write_text_file(path, text.substr(0, end));
+}
+
+/// The run a job asks for, under the server's thread budget and stop
+/// flag.
+EngineRunSpec engine_spec(const io::JobSpec& job, const ServerOptions& opt)
+{
+  EngineRunSpec spec = job;
+  spec.driver.num_threads = clamp_threads(job.driver.num_threads, opt.thread_budget);
+  spec.driver.stop_flag = &g_stop;
+  return spec;
 }
 
 enum class JobOutcome
@@ -201,16 +209,8 @@ JobOutcome run_spool_job(const std::string& path, const ServerOptions& opt)
     return JobOutcome::Rejected;
   }
 
-  EngineRunSpec spec;
-  spec.workload = job.workload;
-  spec.spec_path = job.spec_path;
-  spec.variant = job.variant;
-  spec.dmc = job.dmc;
-  spec.estimators = job.estimators;
-  spec.driver = job.driver;
-  spec.driver.num_threads = clamp_threads(job.driver.num_threads, opt.thread_budget);
+  EngineRunSpec spec = engine_spec(job, opt);
   spec.driver.checkpoint_path = path + ".snap";
-  spec.driver.stop_flag = &g_stop;
   const bool resume = std::filesystem::exists(spec.driver.checkpoint_path);
   if (resume)
   {
@@ -283,26 +283,17 @@ int serve_stdin(const ServerOptions& opt)
 {
   // One JSON job per line; records go to stdout (no spool, so no
   // checkpoint file -- an interrupt abandons the in-flight job).
-  char line[65536];
+  std::string line;
   int job_index = 0;
-  while (!g_stop.load() && std::fgets(line, sizeof(line), stdin) != nullptr)
+  while (!g_stop.load() && std::getline(std::cin, line))
   {
-    const std::string text(line);
-    if (text.find_first_not_of(" \t\r\n") == std::string::npos)
+    if (line.find_first_not_of(" \t\r") == std::string::npos)
       continue;
     const std::string name = "stdin-" + std::to_string(job_index++);
     try
     {
-      const io::JobSpec job = io::parse_job_spec(text, name);
-      EngineRunSpec spec;
-      spec.workload = job.workload;
-      spec.spec_path = job.spec_path;
-      spec.variant = job.variant;
-      spec.dmc = job.dmc;
-      spec.estimators = job.estimators;
-      spec.driver = job.driver;
-      spec.driver.num_threads = clamp_threads(job.driver.num_threads, opt.thread_budget);
-      spec.driver.stop_flag = &g_stop;
+      const io::JobSpec job = io::parse_job_spec(line, name);
+      EngineRunSpec spec = engine_spec(job, opt);
       spec.driver.on_generation = [&](int gen, const GenerationStats& s) {
         std::printf("%s\n", generation_record(name, gen, s).c_str());
         std::fflush(stdout);

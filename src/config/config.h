@@ -149,8 +149,8 @@ inline EngineVariant variant_for(EngineLayout l, Precision p)
 /// forces one every that many generations regardless of residual.
 struct PrecisionPolicy
 {
-  /// Compute precision. Unset means "inherit": first from the system
-  /// spec's optional precision default, else from the variant alias.
+  /// Compute precision. When unset, the variant alias's precision half
+  /// decides.
   std::optional<Precision> precision;
   /// Refresh when the sampled inverse residual exceeds this (0 disables
   /// residual-triggered refreshes; double-path residuals ~1e-12 never

@@ -1,7 +1,5 @@
 #include "drivers/qmc_system.h"
 
-#include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "drivers/qmc_drivers.h"
@@ -101,23 +99,6 @@ EngineReport run_engine(const EngineRunSpec& spec)
   // Orthogonal {layout} x {precision} dispatch: the variant supplies
   // only its layout half once precision is resolved.
   const EngineVariant effective = variant_for(layout_of(spec.variant), prec);
-
-  // Job-level resume guard: an *explicit* precision request that
-  // contradicts the snapshot's sizeof(TR) tag fails here with a named
-  // error before any build work. Implicit (alias-derived) mismatches
-  // still fail inside restore_snapshot with the snapshot-layer message.
-  if (spec.driver.precision.precision && !spec.resume_path.empty())
-  {
-    const io::PopulationSnapshot snap = io::read_snapshot_file(spec.resume_path);
-    if (snap.precision_bytes != static_cast<std::uint32_t>(precision_bytes(prec)))
-      throw std::runtime_error(
-          std::string("qmcxx-spec: requested precision \"") + to_string(prec) + "\" (" +
-          std::to_string(precision_bytes(prec)) + "-byte) contradicts resume snapshot " +
-          spec.resume_path + ", which was written by a " +
-          (snap.precision_bytes == 8 ? "double" : "single") + " (" +
-          std::to_string(snap.precision_bytes) +
-          "-byte) engine; drop the \"precision\" override or resume with the matching one");
-  }
 
   return prec == Precision::Double ? run_typed<double>(spec, sysspec, effective)
                                    : run_typed<float>(spec, sysspec, effective);

@@ -1,22 +1,20 @@
-// Job requests for the qmc_server example: a spec_path to a
-// qmcxx-spec-v1 system file (or a paper workload's name, which names
-// one of the committed spec files), an engine variant, and DriverConfig
-// knobs, parsed from a small JSON object.
+// Job requests for the qmc_server example and qmcxx-spec-v1 system
+// files, both read through the JSON layer (io/json.h).
+//
+// A job is a spec_path to a qmcxx-spec-v1 system file (or a paper
+// workload's name, which names one of the committed spec files), an
+// engine variant, and DriverConfig knobs:
 //
 //   { "workload": "Graphite", "variant": "current", "dmc": false,
 //     "driver": { "steps": 64, "num_walkers": 16, "seed": 42,
 //                 "checkpoint_every": 8 },
 //     "mem_budget_mb": 512 }
 //
-// The parser is a minimal recursive-descent JSON reader (objects,
-// arrays, strings, numbers, booleans) -- deliberately no external
-// dependency. Unknown keys are rejected with an error naming the key,
-// so a typo'd knob fails the job instead of silently running defaults;
-// an integer outside the int range is an error too, never a wrapped
-// value.
+// Unknown keys are rejected with an error naming the key, so a typo'd
+// knob fails the job instead of silently running defaults; an integer
+// outside the int range is an error too, never a wrapped value.
 //
-// The same reader parses system ingestion files ("qmcxx-spec-v1",
-// workloads/system_spec.h):
+// A system file ("qmcxx-spec-v1", workloads/system_spec.h):
 //
 //   { "schema": "qmcxx-spec-v1", "name": "Graphite",
 //     "num_electrons": 256,
@@ -39,32 +37,21 @@
 #include <string>
 #include <vector>
 
-#include "config/config.h"
-#include "drivers/qmc_drivers.h"
+#include "drivers/qmc_system.h"
 #include "workloads/system_spec.h"
-#include "workloads/workloads.h"
 
 namespace qmcxx::io
 {
 
-struct JobSpec
+/// One job: the run it asks for plus the server's bookkeeping. A job
+/// without "workload" or "spec_path" runs Graphite, and without "dmc"
+/// it runs VMC.
+struct JobSpec : EngineRunSpec
 {
-  std::string name;        ///< job id (spool file stem or "stdin-N")
-  Workload workload = Workload::Graphite;
-  /// Path to a qmcxx-spec-v1 system file; when set it replaces the
-  /// workload's committed spec ("workload" and "spec_path" are
-  /// mutually exclusive).
-  std::string spec_path;
-  EngineVariant variant = EngineVariant::Current;
-  bool dmc = false;
-  /// Attach the default estimator set (g(r), S(k)) and stream its bins
-  /// in the per-generation records. Chains are bitwise-identical with
-  /// estimators on or off.
-  bool estimators = false;
+  std::string name; ///< job id (spool file stem or "stdin-N")
   /// Soft per-job memory budget; 0 = unlimited. The server reports a
   /// budget violation (tracked peak > budget) in the completion record.
   double mem_budget_mb = 0.0;
-  DriverConfig driver;
 };
 
 /// The paper workload whose committed spec has `s` as its "name" or its

@@ -292,15 +292,7 @@ TEST(PrecisionSpec, PrecisionFromNameParsesAndRejects)
   EXPECT_EQ(io::precision_from_name("double"), Precision::Double);
   EXPECT_EQ(io::precision_from_name("Single"), Precision::Single); // case-insensitive
   EXPECT_EQ(io::precision_from_name("DOUBLE"), Precision::Double);
-  try
-  {
-    (void)io::precision_from_name("half");
-    FAIL() << "expected rejection";
-  }
-  catch (const std::runtime_error& e)
-  {
-    EXPECT_NE(std::string(e.what()).find("half"), std::string::npos) << e.what();
-  }
+  expect_throw_with([] { (void)io::precision_from_name("half"); }, "half");
 }
 
 TEST(PrecisionSpec, JobSpecCarriesPolicy)
@@ -330,16 +322,9 @@ TEST(PrecisionSpec, ValidateConfigRejectsBadDriftKnobs)
 {
   BuildOptions opt;
   auto sys = build_system<double>(tiny_spec(), opt);
-  const auto expect_rejected = [&](DriverConfig cfg, const char* needle) {
-    try
-    {
-      QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
-      FAIL() << "expected invalid_argument mentioning '" << needle << "'";
-    }
-    catch (const std::invalid_argument& e)
-    {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
-    }
+  const auto expect_rejected = [&](const DriverConfig& cfg, const char* needle) {
+    expect_throw_with<std::invalid_argument>(
+        [&] { QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg); }, needle);
   };
   DriverConfig cfg;
   cfg.precision.refresh_interval = -1;

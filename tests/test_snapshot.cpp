@@ -176,19 +176,7 @@ TEST(SnapshotFile, RejectsBadMagic)
   const std::string path = tmp_path("qmcxx_badmagic.snap");
   io::write_snapshot_file(path, synthetic_snapshot());
   corrupt_byte(path, 0); // first magic byte
-  EXPECT_THROW(
-      {
-        try
-        {
-          (void)io::read_snapshot_file(path);
-        }
-        catch (const std::runtime_error& e)
-        {
-          EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
-          throw;
-        }
-      },
-      std::runtime_error);
+  expect_throw_with([&] { (void)io::read_snapshot_file(path); }, "bad magic");
   std::filesystem::remove(path);
 }
 
@@ -197,19 +185,7 @@ TEST(SnapshotFile, RejectsVersionMismatch)
   const std::string path = tmp_path("qmcxx_badversion.snap");
   io::write_snapshot_file(path, synthetic_snapshot());
   corrupt_byte(path, 8); // version field
-  EXPECT_THROW(
-      {
-        try
-        {
-          (void)io::read_snapshot_file(path);
-        }
-        catch (const std::runtime_error& e)
-        {
-          EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
-          throw;
-        }
-      },
-      std::runtime_error);
+  expect_throw_with([&] { (void)io::read_snapshot_file(path); }, "version");
   std::filesystem::remove(path);
 }
 
@@ -227,19 +203,7 @@ TEST(SnapshotFile, RejectsTruncatedPayload)
   const std::string path = tmp_path("qmcxx_truncpay.snap");
   const std::size_t bytes = io::write_snapshot_file(path, synthetic_snapshot());
   truncate_file(path, bytes - 10);
-  EXPECT_THROW(
-      {
-        try
-        {
-          (void)io::read_snapshot_file(path);
-        }
-        catch (const std::runtime_error& e)
-        {
-          EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
-          throw;
-        }
-      },
-      std::runtime_error);
+  expect_throw_with([&] { (void)io::read_snapshot_file(path); }, "truncated");
   std::filesystem::remove(path);
 }
 
@@ -248,19 +212,7 @@ TEST(SnapshotFile, RejectsCorruptPayloadByCrc)
   const std::string path = tmp_path("qmcxx_badcrc.snap");
   const std::size_t bytes = io::write_snapshot_file(path, synthetic_snapshot());
   corrupt_byte(path, bytes - 3); // a payload byte
-  EXPECT_THROW(
-      {
-        try
-        {
-          (void)io::read_snapshot_file(path);
-        }
-        catch (const std::runtime_error& e)
-        {
-          EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
-          throw;
-        }
-      },
-      std::runtime_error);
+  expect_throw_with([&] { (void)io::read_snapshot_file(path); }, "CRC");
   std::filesystem::remove(path);
 }
 
@@ -286,20 +238,7 @@ TEST(SnapshotFile, RejectsBuffersFlagZero)
   std::memcpy(bytes.data() + 32, &crc, sizeof(crc)); // header payload_crc32
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(
-      {
-        try
-        {
-          (void)io::read_snapshot_file(path);
-        }
-        catch (const std::runtime_error& e)
-        {
-          EXPECT_NE(std::string(e.what()).find("buffers-stored flag is 0"), std::string::npos)
-              << e.what();
-          throw;
-        }
-      },
-      std::runtime_error);
+  expect_throw_with([&] { (void)io::read_snapshot_file(path); }, "buffers-stored flag is 0");
   std::filesystem::remove(path);
 }
 
@@ -339,15 +278,7 @@ TEST(SnapshotCompat, RejectsEachMismatchWithNamedError)
   good.num_particles = snap.num_particles;
 
   const auto expect_failure = [&](io::SnapshotExpectation e, const char* needle) {
-    try
-    {
-      io::validate_compatible(snap, e);
-      FAIL() << "expected rejection mentioning '" << needle << "'";
-    }
-    catch (const std::runtime_error& err)
-    {
-      EXPECT_NE(std::string(err.what()).find(needle), std::string::npos) << err.what();
-    }
+    expect_throw_with([&] { io::validate_compatible(snap, e); }, needle);
   };
 
   io::SnapshotExpectation e = good;
@@ -634,9 +565,13 @@ TEST(EngineResume, NiO32DmcAllDecompositions)
       check_engine_resume(Workload::NiO32, true, crowd, threads);
 }
 
-TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
+namespace
 {
-  const std::string path = tmp_path("qmcxx_fp_mismatch.snap");
+
+/// Write a 2-generation single-precision Graphite VMC snapshot to `path`
+/// and return the spec that resumes it.
+EngineRunSpec single_precision_resume(const std::string& path)
+{
   EngineRunSpec spec;
   spec.workload = Workload::Graphite;
   spec.variant = EngineVariant::Current;
@@ -645,17 +580,40 @@ TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
   spec.driver.checkpoint_every = 2;
   spec.driver.checkpoint_path = path;
   (void)run_engine(spec);
+  spec.driver.checkpoint_every = 0;
+  spec.driver.checkpoint_path.clear();
+  spec.resume_path = path;
+  return spec;
+}
 
-  EngineRunSpec other = spec;
-  other.driver.checkpoint_every = 0;
-  other.driver.checkpoint_path.clear();
-  other.resume_path = path;
+} // namespace
+
+TEST(EngineResume, RejectsWorkloadFingerprintMismatch)
+{
+  const std::string path = tmp_path("qmcxx_fp_mismatch.snap");
+  EngineRunSpec other = single_precision_resume(path);
   other.workload = Workload::Be64; // different workload, same precision
   EXPECT_THROW((void)run_engine(other), std::runtime_error);
   // Same workload under a different delay_rank is also a different chain.
   other.workload = Workload::Graphite;
   other.driver.delay_rank = 2;
   EXPECT_THROW((void)run_engine(other), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(EngineResume, RejectsPrecisionMismatchInRestore)
+{
+  // restore_snapshot's compatibility check is the one precision check:
+  // an explicit "double" policy and the CurrentDP alias both meet a
+  // single-precision snapshot there, and both get its message.
+  const std::string path = tmp_path("qmcxx_precision_mismatch.snap");
+  EngineRunSpec explicit_double = single_precision_resume(path);
+  explicit_double.driver.precision.precision = Precision::Double;
+  EngineRunSpec alias = explicit_double;
+  alias.driver.precision.precision.reset();
+  alias.variant = EngineVariant::CurrentDP;
+  for (const EngineRunSpec& resume : {explicit_double, alias})
+    expect_throw_with([&] { (void)run_engine(resume); }, "precision tag mismatch");
   std::filesystem::remove(path);
 }
 
@@ -694,10 +652,16 @@ TEST(JobSpec, ParsesFullObject)
 
 TEST(JobSpec, DefaultsAndAliases)
 {
-  const io::JobSpec spec = io::parse_job_spec(R"({"workload": "graphite"})", "j");
-  EXPECT_EQ(spec.workload, Workload::Graphite);
-  EXPECT_EQ(spec.variant, EngineVariant::Current);
-  EXPECT_FALSE(spec.dmc);
+  // A job that names no system or chain kind runs Graphite VMC.
+  for (const char* text : {R"({"workload": "graphite"})", "{}"})
+  {
+    SCOPED_TRACE(text);
+    const io::JobSpec spec = io::parse_job_spec(text, "j");
+    EXPECT_EQ(spec.workload, Workload::Graphite);
+    EXPECT_TRUE(spec.spec_path.empty());
+    EXPECT_EQ(spec.variant, EngineVariant::Current);
+    EXPECT_FALSE(spec.dmc);
+  }
   // A workload name is its spec's "name" or file stem, in any case.
   for (const PaperWorkload& row : paper_workloads)
   {
@@ -725,14 +689,6 @@ TEST(JobSpec, RejectsUnknownKeysAndMalformedInput)
   EXPECT_THROW((void)io::parse_job_spec(R"({"dmc": maybe})", "j"), std::runtime_error);
   EXPECT_THROW((void)io::parse_job_spec("{", "j"), std::runtime_error);
   EXPECT_THROW((void)io::parse_job_spec(R"({} trailing)", "j"), std::runtime_error);
-  try
-  {
-    (void)io::parse_job_spec(R"({"driver": {"stepz": 3}})", "badjob");
-    FAIL() << "unknown driver key accepted";
-  }
-  catch (const std::runtime_error& e)
-  {
-    EXPECT_NE(std::string(e.what()).find("stepz"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("badjob"), std::string::npos);
-  }
+  expect_throw_with([] { (void)io::parse_job_spec(R"({"driver": {"stepz": 3}})", "badjob"); },
+                    "job 'badjob': unknown driver key 'stepz'");
 }

@@ -4,14 +4,16 @@
 // parser's error contract for spec and job files.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "drivers/qmc_system.h"
 #include "io/job_spec.h"
+#include "io/json.h"
 #include "io/snapshot.h"
-#include "io/stream_log.h"
 #include "test_utils.h"
 #include "workloads/system_builder.h"
 #include "workloads/system_spec.h"
@@ -184,6 +186,32 @@ TEST(JsonEscape, QuotesBackslashesAndControlBytes)
   EXPECT_EQ(io::json_escape(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(io::json_escape("say \"hi\""), "say \\\"hi\\\"");
   EXPECT_EQ(io::json_escape("graphite-32 \xc3\xa9"), "graphite-32 \xc3\xa9");
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreNull)
+{
+  // RFC 8259 has no token for NaN or infinity: a record must stay JSON.
+  EXPECT_EQ(io::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(io::json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(io::json_number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(io::json_number(0.1), "0.10000000000000001");
+}
+
+TEST(JsonWriter, GenerationRecordIsByteExact)
+{
+  // Keys are escaped like values, and a non-finite value becomes null.
+  io::JsonWriter w;
+  w.begin_object().field("type", "generation").field("job", "job\"1").field("gen", 3);
+  w.field("energy", -10.5).field("max_drift_residual", std::numeric_limits<double>::infinity());
+  w.field("acceptance", 0.1).field("drift_rows_sampled", std::uint64_t{4});
+  w.key("observables").begin_object().field("Kinetic", 1.25).field("say \"hi\"\n", -2.0);
+  w.end_object().key("estimators").begin_object().key("gofr").begin_array().value(0.5).value(2.0);
+  w.end_array().key("sofk").begin_array().end_array().end_object().end_object();
+  EXPECT_EQ(w.str(),
+            R"({"type": "generation", "job": "job\"1", "gen": 3, "energy": -10.5, )"
+            R"("max_drift_residual": null, "acceptance": 0.10000000000000001, )"
+            R"("drift_rows_sampled": 4, "observables": {"Kinetic": 1.25, "say \"hi\"\n": -2}, )"
+            R"("estimators": {"gofr": [0.5, 2], "sofk": []}})");
 }
 
 TEST(SystemSpec, EscapedNameRoundTripsBitwise)

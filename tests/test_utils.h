@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -283,6 +284,21 @@ inline ::testing::AssertionResult chains_bitwise(const RunResult& a, const RunRe
 inline void expect_chains_bitwise(const RunResult& a, const RunResult& b)
 {
   EXPECT_TRUE(chains_bitwise(a, b));
+}
+
+/// Expect `fn()` to throw an `E` whose message contains `needle`.
+template<typename E = std::runtime_error, typename Fn>
+void expect_throw_with(Fn&& fn, const std::string& needle)
+{
+  try
+  {
+    fn();
+    ADD_FAILURE() << "expected an exception mentioning '" << needle << "'";
+  }
+  catch (const E& e)
+  {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
 }
 
 } // namespace qmcxx::testing

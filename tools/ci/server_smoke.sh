@@ -7,8 +7,9 @@
 # A fourth job is SIGKILLed between two checkpoints and resumed; its
 # stream must then equal the reference run's line for line, with no
 # generation streamed twice. The reference run also serves a job whose
-# file name holds double quotes, and every streamed line must parse as
-# JSON.
+# file name holds double quotes. Stdin mode must run a job line longer
+# than 64 KiB as one job. Every streamed line must parse as JSON, and
+# the content checks run on the parsed records.
 #
 # Both waits on the running server poll for as long as its process is
 # alive, with no fixed deadline, so a slow (Debug, sanitizer) build
@@ -95,30 +96,6 @@ echo "server_smoke: resumed run"
 [ ! -f "$SPOOL/job1.json.snap" ] \
   || { echo "server_smoke: checkpoint not cleaned up after completion" >&2; exit 1; }
 
-# Job 1 asked for estimators: its generation records must carry the
-# named-observable extension (per-component energies plus the gofr /
-# sofk bin arrays) in every record.
-n_gen=$(grep -c '"generation"' "$REF/job1.json.stream")
-for key in '"observables"' '"gofr"' '"sofk"'; do
-  n_key=$(grep '"generation"' "$REF/job1.json.stream" | grep -c "$key" || true)
-  [ "$n_key" -eq "$n_gen" ] \
-    || { echo "server_smoke: $key missing from job1 generation records ($n_key/$n_gen)" >&2; exit 1; }
-done
-# Job 2 did not: its records must stay in the pre-estimator form.
-if grep '"generation"' "$REF/job2.json.stream" | grep -q '"estimators"'; then
-  echo "server_smoke: job2 streamed estimator bins without asking" >&2; exit 1
-fi
-
-# Every generation record carries the drift-guard telemetry, and the
-# single-precision policy job must have actually sampled rows.
-n_gen3=$(grep -c '"generation"' "$REF/job3.json.stream")
-n_drift=$(grep '"generation"' "$REF/job3.json.stream" | grep -c '"max_drift_residual"' || true)
-[ "$n_drift" -eq "$n_gen3" ] \
-  || { echo "server_smoke: drift telemetry missing from job3 records ($n_drift/$n_gen3)" >&2; exit 1; }
-if grep '"generation"' "$REF/job3.json.stream" | grep -q '"drift_rows_sampled": 0,'; then
-  echo "server_smoke: job3's drift guard never sampled despite precision=single" >&2; exit 1
-fi
-
 # The streamed observables of interrupted + resumed must be identical
 # to the uninterrupted reference, record for record.
 for job in job1 job2 job3; do
@@ -165,21 +142,66 @@ if ! diff <(grep '"generation"' "$KILL/job4.json.stream") \
   exit 1
 fi
 
+echo "server_smoke: stdin mode"
+# One job per line. The first line is padded with spaces to over 64 KiB
+# and must still run as one job; both jobs must complete.
+STDIN_JOB='{ "workload": "Graphite", "driver": { "steps": 1, "num_walkers": 1, "seed": 7, "num_threads": 1 } }'
+PAD=$(printf '%70000s' '')
+{ echo "{$PAD${STDIN_JOB:1}"; echo "$STDIN_JOB"; } \
+  | "$SERVER" --stdin > "$WORK/stdin.out" 2> "$WORK/stdin.err"
+if grep -q 'failed' "$WORK/stdin.err"; then
+  cat "$WORK/stdin.err" >&2
+  echo "server_smoke: a stdin job failed" >&2; exit 1
+fi
+
 # Every streamed line is one JSON record naming its job, quotes in the
-# file name included.
-python3 - "$REF" "$SPOOL" "$KILL" <<'EOF'
+# file name included. The content checks read the parsed records:
+# - job1 asked for estimators, so every generation record carries the
+#   named observables and the gofr/sofk bin arrays;
+# - job2 did not, so none of its records has estimator bins;
+# - every job3 record carries the drift-guard telemetry, and its
+#   single-precision policy sampled rows in every generation;
+# - stdin mode completed exactly its two jobs.
+python3 - "$REF" "$SPOOL" "$KILL" "$WORK/stdin.out" <<'EOF'
 import glob, json, os, sys
-for d in sys.argv[1:]:
+
+def records(path):
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                yield n, json.loads(line)
+            except ValueError as e:
+                sys.exit(f"server_smoke: {path}:{n} is not valid JSON ({e})")
+
+streams = {}
+for d in sys.argv[1:4]:
     for path in sorted(glob.glob(os.path.join(d, "*.json.stream"))):
         job = os.path.basename(path)[:-len(".json.stream")]
-        with open(path, encoding="utf-8") as f:
-            for n, line in enumerate(f, 1):
-                try:
-                    rec = json.loads(line)
-                except ValueError as e:
-                    sys.exit(f"server_smoke: {path}:{n} is not valid JSON ({e})")
-                if rec.get("job") != job:
-                    sys.exit(f"server_smoke: {path}:{n} names job {rec.get('job')!r}, not {job!r}")
+        streams[path] = []
+        for n, rec in records(path):
+            if rec.get("job") != job:
+                sys.exit(f"server_smoke: {path}:{n} names job {rec.get('job')!r}, not {job!r}")
+            streams[path].append(rec)
+
+def generations(job):
+    path = os.path.join(sys.argv[1], job + ".json.stream")
+    return [rec for rec in streams[path] if rec["type"] == "generation"]
+
+for rec in generations("job1"):
+    est = rec.get("estimators", {})
+    if "observables" not in rec or "gofr" not in est or "sofk" not in est:
+        sys.exit(f"server_smoke: job1 gen {rec['gen']} lacks observables or gofr/sofk bins")
+if any("estimators" in rec for rec in generations("job2")):
+    sys.exit("server_smoke: job2 streamed estimator bins without asking")
+for rec in generations("job3"):
+    if "max_drift_residual" not in rec:
+        sys.exit(f"server_smoke: job3 gen {rec['gen']} lacks drift telemetry")
+    if not rec["drift_rows_sampled"] > 0:
+        sys.exit(f"server_smoke: job3's drift guard sampled no rows at gen {rec['gen']}")
+
+done = [rec["job"] for _, rec in records(sys.argv[4]) if rec["type"] == "job-complete"]
+if done != ["stdin-0", "stdin-1"]:
+    sys.exit(f"server_smoke: stdin mode completed {done}, expected stdin-0 and stdin-1")
 EOF
 
-echo "server_smoke: OK (SIGTERM and SIGKILL resume, streams bitwise-identical)"
+echo "server_smoke: OK (SIGTERM and SIGKILL resume, streams bitwise-identical, stdin mode)"

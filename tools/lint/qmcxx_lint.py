@@ -354,7 +354,7 @@ RULES: list[Rule] = [
         r"\b(?:std::)?(?:i|o)?fstream\b|\bfopen\s*\(|\bfreopen\s*\(|\bfwrite\s*\(|"
         r"\bfread\s*\(",
         "file I/O in library and example code must go through src/io/ "
-        "(snapshot.h, stream_log.h, job_spec.h): one place owns formats, "
+        "(snapshot.h, json.h, job_spec.h): one place owns formats, "
         "atomic-rename discipline, and error reporting",
         include_dirs=("src/", "examples/"),
         exclude_dirs=("src/io/", "src/instrument/"),

@@ -71,8 +71,10 @@ int main(int argc, char** argv)
   const EngineReport cur = bench::run(Workload::NiO64, EngineVariant::Current);
   const double t_ref = 1.0 / ref.result.throughput; // s per walker-step
   const double t_cur = 1.0 / cur.result.throughput;
-  const std::size_t wb_ref = ref.walker_bytes / std::max(1, ref.result.generations.back().num_walkers);
-  const std::size_t wb_cur = cur.walker_bytes / std::max(1, cur.result.generations.back().num_walkers);
+  // walker_bytes is measured on the set-up population, before branching.
+  const int setup_walkers = bench::default_config(Workload::NiO64).num_walkers;
+  const std::size_t wb_ref = ref.walker_bytes / setup_walkers;
+  const std::size_t wb_cur = cur.walker_bytes / setup_walkers;
 
   std::printf("host measurements (NiO-64):\n");
   std::printf("  Ref:     %.4f s/walker-step, walker message %s\n", t_ref,

@@ -3,12 +3,13 @@
 //
 // Prints the one-body (Ni, O) and two-body (parallel/antiparallel spin)
 // B-spline functors of the NiO-32 trial wavefunction on a radial grid --
-// the data behind the figure. The shapes (deep Ni well, shallower O
-// well, positive decaying e-e correlation with cusp-split channels and
-// smooth cutoff) match the published curves qualitatively; parameters
-// are the DESIGN.md substitutions for the variationally optimized ones.
+// the data behind the figure. The functors are read from the system the
+// engine builds, so the table shows exactly what the runs evaluate. The
+// shapes (deep Ni well, shallower O well, positive decaying e-e
+// correlation with cusp-split channels and smooth cutoff) match the
+// published curves qualitatively; the parameters are model substitutions
+// for the variationally optimized ones.
 #include "bench/bench_common.h"
-#include "numerics/spline_builder.h"
 #include "workloads/system_builder.h"
 #include "workloads/workloads.h"
 
@@ -18,20 +19,17 @@ int main()
 {
   bench::header("Figure 3: NiO-32 Jastrow functors", "Mathuriya et al. SC'17, Fig. 3");
 
-  const SystemSpec info = workload_spec(Workload::NiO32);
-  const double rw = info.lattice.wigner_seitz_radius();
-  const double rc_j2 = 0.99 * rw;
-  const int knots = 10;
-
-  auto f_uu = build_bspline_functor<double>(ee_jastrow_shape(-0.25, rc_j2), -0.25, rc_j2, knots);
-  auto f_ud = build_bspline_functor<double>(ee_jastrow_shape(-0.5, rc_j2), -0.5, rc_j2, knots);
-  const double rc_j1 = std::min(rw * 0.99, 4.5);
-  auto f_ni = build_bspline_functor<double>(
-      ei_jastrow_shape(info.species[0].j1_depth, info.species[0].j1_width, rc_j1), 0.0, rc_j1,
-      knots);
-  auto f_o = build_bspline_functor<double>(
-      ei_jastrow_shape(info.species[1].j1_depth, info.species[1].j1_width, rc_j1), 0.0, rc_j1,
-      knots);
+  // The builder adds the two-body Jastrow first and the one-body second;
+  // electron groups are (up, down) and ion species are (Ni, O).
+  QMCSystem<double> sys = build_system<double>(workload_spec(Workload::NiO32), {});
+  const auto& j2 = dynamic_cast<const TwoBodyJastrowBase<double>&>(sys.twf->component(0));
+  const auto& j1 = dynamic_cast<const OneBodyJastrowBase<double>&>(sys.twf->component(1));
+  const CubicBsplineFunctor<double>& f_uu = j2.functor(0, 0);
+  const CubicBsplineFunctor<double>& f_ud = j2.functor(0, 1);
+  const CubicBsplineFunctor<double>& f_ni = j1.functor(0);
+  const CubicBsplineFunctor<double>& f_o = j1.functor(1);
+  const double rc_j2 = f_uu.cutoff();
+  const double rc_j1 = f_ni.cutoff();
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"r (bohr)", "U_Ni(r)", "U_O(r)", "u_uu(r)", "u_ud(r)"});

@@ -44,9 +44,7 @@ int main(int argc, char** argv)
 
   // 2. Build the system: SoA layout + float tables = the paper's
   //    "Current" configuration (BuildOptions{.soa_layout=false} gives
-  //    the AoS "Ref" path; layout = LayoutMode::Reference keeps the SoA
-  //    engine but swaps in the Fig. 6a AoS distance tables, which the
-  //    parity tests use to prove the layouts chain-identical).
+  //    the AoS "Ref" path, with the Fig. 6a AoS distance tables).
   BuildOptions opt;
   auto sys = build_system<float>(w, opt);
   std::printf("system: %d electrons, %d ions, %d orbitals/spin, cell V = %.1f bohr^3\n",

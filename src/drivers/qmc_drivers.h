@@ -192,9 +192,6 @@ public:
   /// before run_vmc/run_dmc.
   void set_estimators(std::shared_ptr<const EstimatorSet<TR>> estimators);
 
-  /// Component / estimator column labels for this driver's stats.
-  std::shared_ptr<const ObservableLabels> observable_labels() const { return labels_; }
-
   /// Variational Monte Carlo: sample |Psi_T|^2 (used for warmup and the
   /// throughput benchmarks).
   RunResult run_vmc();

@@ -1,6 +1,6 @@
 // Hot-spot timers backing the paper's profile figures.
 //
-// The paper's analysis (Fig. 2, Fig. 7) decomposes runtime into the
+// The paper's hot-spot profile (Fig. 2) decomposes runtime into the
 // kernels DistTable, J1, J2, Bspline-v, Bspline-vgh, SPO-vgl, DetUpdate
 // and Other. qmcxx instruments exactly those buckets with low-overhead
 // scoped timers. Accumulation is strictly thread-local (no shared

@@ -145,23 +145,6 @@ void gemv(const Matrix<T>& a, const T* x, T* y, T alpha = T(1), T beta = T(0))
   }
 }
 
-/// y = alpha * A^T x + beta * y (A is m x n, x has m entries, y has n).
-template<typename T>
-void gemv_trans(const Matrix<T>& a, const T* x, T* y, T alpha = T(1), T beta = T(0))
-{
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  for (std::size_t j = 0; j < n; ++j)
-    y[j] = beta * y[j];
-  for (std::size_t i = 0; i < m; ++i)
-  {
-    const T* __restrict ai = a.row(i);
-    const T xi = alpha * x[i];
-    for (std::size_t j = 0; j < n; ++j)
-      y[j] += xi * ai[j];
-  }
-}
-
 /// Rank-1 update A += alpha * x y^T (the BLAS2 core of Sherman-Morrison).
 template<typename T>
 void ger(Matrix<T>& a, const T* x, const T* y, T alpha)

@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "containers/tiny_vector.h"
-
 namespace qmcxx
 {
 
@@ -76,12 +74,6 @@ public:
     cached_gauss_ = r * std::sin(theta);
     have_gauss_ = true;
     return r * std::cos(theta);
-  }
-
-  /// 3D vector of independent standard normals (the diffusion kick).
-  [[nodiscard]] TinyVector<double, 3> gaussian3()
-  {
-    return {gaussian(), gaussian(), gaussian()};
   }
 
   /// Integer in [0, n), unbiased (Lemire's multiply-shift rejection).

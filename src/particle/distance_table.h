@@ -7,10 +7,10 @@
 // and two layouts implement each:
 //   Aos*  -- the Reference implementation (Fig. 6a): packed upper
 //            triangle for AA, AoS TinyVector displacement storage,
-//            scalar loops. Selected by LayoutMode::Reference; used only
-//            by the parity tests and the Fig. 6a baseline benches.
+//            scalar loops. The AoS Ref engine builds these.
 //   Soa*  -- the canonical implementation (Fig. 6b): full N x Np padded
 //            rows on SoA storage, forward update or compute-on-the-fly.
+//            The SoA engine builds these.
 //
 // Consumers never branch on layout: every table serves its committed
 // rows and the proposed-move row through the unified DTRowView accessor
@@ -48,20 +48,6 @@ class ParticleSet;
 /// Distance sentinel for the self pair: outside every cutoff.
 template<typename TR>
 inline constexpr TR DT_BIG_R = TR(1e10);
-
-/// Which distance-table layout a system is built with. Canonical is the
-/// SoA production path; Reference keeps the paper's Fig. 6a AoS tables
-/// alive for parity tests and baseline benches.
-enum class LayoutMode
-{
-  Canonical, ///< SoA padded rows (Fig. 6b), the production layout
-  Reference  ///< AoS packed triangle / AoS rows (Fig. 6a)
-};
-
-inline const char* to_string(LayoutMode m)
-{
-  return m == LayoutMode::Canonical ? "Canonical" : "Reference";
-}
 
 /// Update policy for the SoA AA table (paper Fig. 6b and Sec. 7.5).
 enum class DTUpdateMode

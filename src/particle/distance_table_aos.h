@@ -1,4 +1,4 @@
-// Reference (AoS) distance tables -- paper Fig. 6a, LayoutMode::Reference.
+// Reference (AoS) distance tables -- paper Fig. 6a, the Ref engine's tables.
 //
 // The AA table stores the upper triangle in packed storage (N(N-1)/2
 // scalars) and AoS TinyVector displacements; updates copy the temporary
@@ -268,8 +268,6 @@ public:
 
   TR dist(int i, int j) const override { return d_[i][j]; }
   TinyVector<TR, 3> displ(int i, int j) const override { return dr_[i][j]; }
-  const DisplRow& row_dr(int i) const { return dr_[i]; }
-  const std::vector<TR>& row_d(int i) const { return d_[i]; }
   const DisplRow& temp_dr() const { return temp_dr_; }
 
   /// Distances are stored contiguously per row; the AoS displacements

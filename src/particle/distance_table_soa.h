@@ -50,8 +50,6 @@ public:
     temp_dz_.assign(np, TR(0));
   }
 
-  DTUpdateMode mode() const { return mode_; }
-
   std::unique_ptr<DistanceTable<TR>> clone() const override
   {
     return std::make_unique<SoaDistanceTableAA<TR>>(this->lattice_, this->num_targets_, mode_);
@@ -135,13 +133,6 @@ public:
     return {this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data()};
   }
 
-  const TR* row_d(int i) const { return d_.row(i); }
-  const TR* row_dx(int i) const { return dx_.row(i); }
-  const TR* row_dy(int i) const { return dy_.row(i); }
-  const TR* row_dz(int i) const { return dz_.row(i); }
-  const TR* temp_dx() const { return temp_dx_.data(); }
-  const TR* temp_dy() const { return temp_dy_.data(); }
-  const TR* temp_dz() const { return temp_dz_.data(); }
   std::size_t row_stride() const { return d_.stride(); }
 
   std::size_t storage_bytes() const override
@@ -256,15 +247,6 @@ public:
   {
     return {this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data()};
   }
-
-  const TR* row_d(int i) const { return d_.row(i); }
-  const TR* row_dx(int i) const { return dx_.row(i); }
-  const TR* row_dy(int i) const { return dy_.row(i); }
-  const TR* row_dz(int i) const { return dz_.row(i); }
-  const TR* temp_dx() const { return temp_dx_.data(); }
-  const TR* temp_dy() const { return temp_dy_.data(); }
-  const TR* temp_dz() const { return temp_dz_.data(); }
-  std::size_t row_stride() const { return d_.stride(); }
 
   std::size_t storage_bytes() const override
   {

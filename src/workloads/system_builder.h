@@ -14,6 +14,7 @@
 #include "hamiltonian/hamiltonian.h"
 #include "hamiltonian/pseudopotential.h"
 #include "instrument/memory_tracker.h"
+#include "numerics/rng.h"
 #include "numerics/spline_builder.h"
 #include "particle/distance_table_aos.h"
 #include "particle/distance_table_soa.h"
@@ -42,12 +43,9 @@ struct QMCSystem
 
 struct BuildOptions
 {
-  bool soa_layout = true;   ///< SoA engine (Jastrows/multi-spline) vs AoS Ref engine
-  /// Distance-table layout for the SoA engine: Canonical (SoA rows) or
-  /// Reference (Fig. 6a AoS tables consumed through the unified row
-  /// interface -- parity tests and baseline benches only). The AoS Ref
-  /// engine (soa_layout = false) always uses Reference tables.
-  LayoutMode layout = LayoutMode::Canonical;
+  /// SoA engine (SoA tables, Jastrows and multi-spline) vs AoS Ref
+  /// engine (the Fig. 6a AoS tables and store-over-compute Jastrows).
+  bool soa_layout = true;
   bool with_hamiltonian = true;
   std::uint64_t seed = 20170708;
   DTUpdateMode dt_mode = DTUpdateMode::OnTheFly; ///< SoA AA policy
@@ -91,8 +89,7 @@ QMCSystem<TR> build_system(const SystemSpec& spec, const BuildOptions& opt)
   // ---- distance tables ---------------------------------------------------
   {
     MemoryScope scope("dist-tables");
-    const bool canonical_tables = opt.soa_layout && opt.layout == LayoutMode::Canonical;
-    if (canonical_tables)
+    if (opt.soa_layout)
     {
       sys.table_ee = sys.elec->add_table(
           std::make_unique<SoaDistanceTableAA<TR>>(spec.lattice, n, opt.dt_mode));

@@ -305,28 +305,31 @@ void expect_batched_bitwise(Backend& set, int ns, int npos)
       << "evaluate_vgh_multi differs from scalar (ns=" << ns << " npos=" << npos << ")";
 }
 
-/// Both backends x np in {1, 3, 8} on a deliberately non-padded
-/// orbital count (ns = 7 pads to the SIMD width for both precisions).
+/// Both backends x np in {1, 3, 8} on two orbital counts: ns = 7 pads
+/// its rows to the SIMD width, ns = 48 fills whole 64-byte rows in both
+/// precisions, so no row is padded.
 template<typename T>
 void run_multi_parity_all_backends()
 {
   const int n = 10;
-  const int ns = 7;
-  std::vector<std::vector<double>> samples;
-  for (int s = 0; s < ns; ++s)
-    samples.push_back(plane_wave_samples(n, n, n, 1 + s % 2, s % 3, 1));
-
-  MultiBspline3D<T> soa;
-  soa.resize(n, n, n, ns);
-  fit_splines_periodic<T>(soa, n, n, n, samples);
-  BsplineSetAoS<T> aos;
-  aos.resize(n, n, n, ns);
-  fit_splines_periodic<T>(aos, n, n, n, samples);
-
-  for (int npos : {1, 3, 8})
+  for (int ns : {7, 48})
   {
-    expect_batched_bitwise<T>(soa, ns, npos);
-    expect_batched_bitwise<T>(aos, ns, npos);
+    std::vector<std::vector<double>> samples;
+    for (int s = 0; s < ns; ++s)
+      samples.push_back(plane_wave_samples(n, n, n, 1 + s % 2, s % 3, 1 + (s / 7) % 3));
+
+    MultiBspline3D<T> soa;
+    soa.resize(n, n, n, ns);
+    fit_splines_periodic<T>(soa, n, n, n, samples);
+    BsplineSetAoS<T> aos;
+    aos.resize(n, n, n, ns);
+    fit_splines_periodic<T>(aos, n, n, n, samples);
+
+    for (int npos : {1, 3, 8})
+    {
+      expect_batched_bitwise<T>(soa, ns, npos);
+      expect_batched_bitwise<T>(aos, ns, npos);
+    }
   }
 }
 

@@ -147,8 +147,7 @@ TEST_P(DistanceTableAA, SweepWithAcceptsKeepsRowsConsistent)
         const double expect = exact_dist(p->lattice(), p->pos(k + 1), p->pos(j));
         if (param.soa)
         {
-          auto& soa = p->template table_as<SoaDistanceTableAA<double>>(ti);
-          EXPECT_NEAR(soa.row_d(k + 1)[j], expect, 1e-12) << "k=" << k << " j=" << j;
+          EXPECT_NEAR(base.row_distances(k + 1)[j], expect, 1e-12) << "k=" << k << " j=" << j;
         }
         else
         {
@@ -191,7 +190,8 @@ TEST(DistanceTableAASoA, ForwardUpdateMaintainsColumnBelowK)
   p->accept_move(k);
   // Rows i > k must see the new distance at column k without refresh.
   for (int i = k + 1; i < n; ++i)
-    EXPECT_NEAR(dt.row_d(i)[k], exact_dist(p->lattice(), p->pos(i), p->pos(k)), 1e-12) << i;
+    EXPECT_NEAR(dt.row_distances(i)[k], exact_dist(p->lattice(), p->pos(i), p->pos(k)), 1e-12)
+        << i;
 }
 
 TEST(DistanceTableAASoA, SelfDistanceIsSentinel)
@@ -215,7 +215,7 @@ TEST(DistanceTableAASoA, PaddedTailIsHarmless)
   auto& dt = p->template table_as<SoaDistanceTableAA<double>>(ti);
   EXPECT_GT(dt.row_stride(), static_cast<std::size_t>(n));
   for (std::size_t j = n; j < dt.row_stride(); ++j)
-    EXPECT_EQ(dt.row_d(0)[j], 0.0);
+    EXPECT_EQ(dt.row_distances(0)[j], 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -411,10 +411,9 @@ TEST(LayoutParity, HexagonalABRowsBitwiseIdentical)
 namespace
 {
 
-RunResult run_graphite(LayoutMode layout, DTUpdateMode mode, bool dmc, int steps, int walkers)
+RunResult run_graphite(DTUpdateMode mode, bool dmc, int steps, int walkers)
 {
   BuildOptions opt;
-  opt.layout = layout;
   opt.dt_mode = mode;
   return build_and_run<double>(workload_spec(Workload::Graphite),
                                short_chain_config(20170708, steps, walkers), dmc, opt);
@@ -422,36 +421,14 @@ RunResult run_graphite(LayoutMode layout, DTUpdateMode mode, bool dmc, int steps
 
 } // namespace
 
-TEST(LayoutParity, GraphiteVmcChainBitwiseIdentical)
-{
-  // Acceptance gate of the SoA-canonical refactor: the Reference (AoS)
-  // layout, consumed through the unified row interface, reproduces the
-  // canonical chain exactly -- layout is storage, not physics.
-  const RunResult soa = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/false, /*steps=*/2, /*walkers=*/2);
-  const RunResult aos = run_graphite(LayoutMode::Reference, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/false, 2, 2);
-  expect_chains_bitwise(soa, aos);
-}
-
-TEST(LayoutParity, GraphiteDmcChainBitwiseIdentical)
-{
-  const RunResult soa = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/true, /*steps=*/3, /*walkers=*/2);
-  const RunResult aos = run_graphite(LayoutMode::Reference, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/true, 3, 2);
-  expect_chains_bitwise(soa, aos);
-}
-
 TEST(DTUpdateModeParity, ForwardUpdateAndOnTheFlyChainsIdentical)
 {
   // Multi-block DMC with branching: the ForwardUpdate column refresh and
   // the OnTheFly prepare-time row recompute must expose identical
   // committed data to every consumer (paper Sec. 7.5 equivalence).
-  const RunResult fu = run_graphite(LayoutMode::Canonical, DTUpdateMode::ForwardUpdate,
-                                    /*dmc=*/true, /*steps=*/4, /*walkers=*/3);
-  const RunResult otf = run_graphite(LayoutMode::Canonical, DTUpdateMode::OnTheFly,
-                                     /*dmc=*/true, 4, 3);
+  const RunResult fu = run_graphite(DTUpdateMode::ForwardUpdate, /*dmc=*/true, /*steps=*/4,
+                                    /*walkers=*/3);
+  const RunResult otf = run_graphite(DTUpdateMode::OnTheFly, /*dmc=*/true, 4, 3);
   expect_chains_bitwise(fu, otf);
 }
 

@@ -210,11 +210,10 @@ bool same_bits(double a, double b)
 }
 
 template<typename TR>
-QMCSystem<TR> measured_system(Workload w, bool soa, LayoutMode layout)
+QMCSystem<TR> measured_system(Workload w, bool soa)
 {
   BuildOptions opt;
   opt.soa_layout = soa;
-  opt.layout = layout;
   QMCSystem<TR> sys = build_system<TR>(workload_spec(w), opt);
   sys.elec->update();
   sys.twf->evaluate_log(*sys.elec);
@@ -243,9 +242,9 @@ std::vector<Pos> nlpp_fan(const QMCSystem<TR>& sys, const SystemSpec& spec, int 
 }
 
 template<typename TR>
-void check_fan_matches_scalar_sweep(Workload w, bool soa, LayoutMode layout)
+void check_fan_matches_scalar_sweep(Workload w, bool soa)
 {
-  QMCSystem<TR> sys = measured_system<TR>(w, soa, layout);
+  QMCSystem<TR> sys = measured_system<TR>(w, soa);
   const SystemSpec spec = workload_spec(w);
   ParticleSet<TR>& p = *sys.elec;
   TrialWaveFunction<TR>& twf = *sys.twf;
@@ -280,14 +279,11 @@ TEST(NonLocalPP, FanRatiosMatchScalarSweepBitwise)
 {
   for (Workload w : {Workload::Graphite, Workload::NiO32})
   {
-    for (LayoutMode layout : {LayoutMode::Canonical, LayoutMode::Reference})
-    {
-      check_fan_matches_scalar_sweep<float>(w, true, layout);
-      check_fan_matches_scalar_sweep<double>(w, true, layout);
-    }
-    // The AoS engine: store-over-compute J1/J2 on Reference tables.
-    check_fan_matches_scalar_sweep<float>(w, false, LayoutMode::Reference);
-    check_fan_matches_scalar_sweep<double>(w, false, LayoutMode::Reference);
+    check_fan_matches_scalar_sweep<float>(w, true);
+    check_fan_matches_scalar_sweep<double>(w, true);
+    // The AoS engine: store-over-compute J1/J2 on AoS tables.
+    check_fan_matches_scalar_sweep<float>(w, false);
+    check_fan_matches_scalar_sweep<double>(w, false);
   }
 }
 
@@ -296,7 +292,7 @@ TEST(NonLocalPP, FanComputesOneRowPerTablePerPoint)
   // Each quadrature point costs one ee and one ei row (one DistTable
   // scope each), shared by J1 and J2; the per-component make_move sweep
   // it replaced paid four.
-  QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
+  QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true);
   const SystemSpec graphite = workload_spec(Workload::Graphite);
   const SphericalQuadrature quad = make_spherical_quadrature(12);
   std::uint64_t points = 0;
@@ -331,7 +327,7 @@ namespace
 template<typename TR>
 void check_shared_rho_matches_vector_overloads(Workload w)
 {
-  QMCSystem<TR> sys = measured_system<TR>(w, true, LayoutMode::Canonical);
+  QMCSystem<TR> sys = measured_system<TR>(w, true);
   ParticleSet<TR>& p = *sys.elec;
   const EwaldSum ew(p.lattice());
   const std::vector<double> q_e(p.size(), -1.0);
@@ -382,9 +378,8 @@ TEST(CoulombKSpace, CachedRhoIsNeverStale)
   // After every kind of position write the next Coulomb evaluation must
   // equal, bitwise, that of a freshly built set at the same positions.
   const SystemSpec graphite = workload_spec(Workload::Graphite);
-  QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
-  QMCSystem<float> fresh =
-      measured_system<float>(Workload::Graphite, true, LayoutMode::Canonical);
+  QMCSystem<float> sys = measured_system<float>(Workload::Graphite, true);
+  QMCSystem<float> fresh = measured_system<float>(Workload::Graphite, true);
   ParticleSet<float>& p = *sys.elec;
   const auto expect_fresh = [&](ParticleSet<float>& set, const char* after) {
     fresh.elec->set_positions(set.positions());

@@ -1,14 +1,11 @@
-// Unit tests: instrumentation substrates -- timers, roofline counters
-// and report formatting.
+// Unit tests: instrumentation substrates -- timers and report
+// formatting.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 
 #include "instrument/report.h"
-#include "instrument/roofline.h"
 #include "instrument/timer.h"
-#include "workloads/workloads.h"
 
 using namespace qmcxx;
 
@@ -52,51 +49,6 @@ TEST(Timer, KernelNamesMatchPaperTaxonomy)
   EXPECT_STREQ(kernel_name(Kernel::BsplineVGH), "Bspline-vgh");
   EXPECT_STREQ(kernel_name(Kernel::SPOvgl), "SPO-vgl");
   EXPECT_STREQ(kernel_name(Kernel::DetUpdate), "DetUpdate");
-}
-
-TEST(Roofline, CountsScaleWithCalls)
-{
-  const SystemSpec nio32 = workload_spec(Workload::NiO32);
-  KernelTotals totals;
-  totals.calls[static_cast<int>(Kernel::J2)] = 100;
-  totals.seconds[static_cast<int>(Kernel::J2)] = 0.5;
-  auto k1 = build_roofline(totals, nio32, Precision::Single);
-  totals.calls[static_cast<int>(Kernel::J2)] = 200;
-  auto k2 = build_roofline(totals, nio32, Precision::Single);
-  const auto find = [](const std::vector<KernelRoofline>& v, Kernel k) {
-    for (const auto& e : v)
-      if (e.kernel == k)
-        return e;
-    return KernelRoofline{};
-  };
-  EXPECT_NEAR(find(k2, Kernel::J2).flops, 2 * find(k1, Kernel::J2).flops, 1e-6);
-}
-
-TEST(Roofline, SinglePrecisionDoublesIntensity)
-{
-  const SystemSpec nio32 = workload_spec(Workload::NiO32);
-  KernelTotals totals;
-  totals.calls[static_cast<int>(Kernel::DistTable)] = 10;
-  totals.seconds[static_cast<int>(Kernel::DistTable)] = 0.1;
-  const auto dp = build_roofline(totals, nio32, Precision::Double);
-  const auto sp = build_roofline(totals, nio32, Precision::Single);
-  EXPECT_NEAR(sp[0].arithmetic_intensity() / dp[0].arithmetic_intensity(), 2.0, 1e-9);
-}
-
-TEST(Roofline, MachineRoofsPlausible)
-{
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "machine-performance measurement is meaningless in instrumented builds";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "machine-performance measurement is meaningless in instrumented builds";
-#endif
-#endif
-  const MachineRoofs roofs = measure_machine_roofs();
-  EXPECT_GT(roofs.peak_gflops_sp, 0.5);
-  EXPECT_GT(roofs.dram_gbs, 0.5);
-  EXPECT_GE(roofs.cache_gbs, roofs.dram_gbs * 0.5);
-  EXPECT_NEAR(roofs.peak_gflops_dp, roofs.peak_gflops_sp / 2, roofs.peak_gflops_sp / 4);
 }
 
 TEST(Report, FormatBytes)

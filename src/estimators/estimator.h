@@ -2,11 +2,11 @@
 // measurement point and reduced at the generation barrier.
 //
 // Contract (mirrors the TimerRegistry discipline from PR 4):
-//   - evaluate() is const and touches only committed distance-table
-//     rows, so ONE shared instance serves every crowd thread
-//     concurrently with zero walker-visible state. Estimators never
-//     perturb the Markov chain: chains are bitwise-identical with
-//     estimators attached or not.
+//   - evaluate() is const and reads only the committed configuration
+//     (positions and distance-table rows), so ONE shared instance
+//     serves every crowd thread concurrently with zero walker-visible
+//     state. Estimators never perturb the Markov chain: chains are
+//     bitwise-identical with estimators attached or not.
 //   - Per-walker samples land in FullPrecReal rows of a flat
 //     [num_walkers x total_bins] buffer (disjoint slices per crowd =
 //     data-race-free), and the driver reduces them serially in fixed
@@ -40,9 +40,9 @@ public:
   virtual int num_bins() const = 0;
 
   /// Sample one walker into out[0 .. num_bins): called at the
-  /// measurement point, when the electron set's committed table rows
-  /// reflect the walker's accepted configuration. Must overwrite (not
-  /// accumulate) and must not touch the particle set.
+  /// measurement point, when the electron set's positions and committed
+  /// table rows reflect the walker's accepted configuration. Must
+  /// overwrite (not accumulate) and must not touch the particle set.
   virtual void evaluate(const ParticleSet<TR>& elec, FullPrecReal* out) const = 0;
 };
 

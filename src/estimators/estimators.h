@@ -21,8 +21,7 @@ std::shared_ptr<const EstimatorSet<TR>> make_default_estimators(const Lattice& l
   auto set = std::make_shared<EstimatorSet<TR>>();
   set->add(std::make_unique<PairCorrelationEstimator<TR>>(
       lattice, table_ee, num_electrons, 32, lattice.wigner_seitz_radius()));
-  set->add(std::make_unique<StructureFactorEstimator<TR>>(lattice, table_ee,
-                                                          num_electrons, 6));
+  set->add(std::make_unique<StructureFactorEstimator<TR>>(lattice, num_electrons, 6));
   return set;
 }
 

@@ -1,15 +1,17 @@
 // Static structure factor S(k) on the smallest reciprocal-lattice
-// shells, computed pairwise from the electron-electron table rows:
+// shells, from the electron density's Fourier components:
 //
-//   S(k) = 1 + (2/N) sum_{i<j} cos(k . dr_ij)
+//   rho_k = sum_i exp(i k . r_i),   S(k) = |rho_k|^2 / N
 //
-// Because every k is an exact reciprocal-lattice vector (integer combos
-// of lattice.reciprocal_rows(), 2*pi included), exp(i k . L) = 1 and
-// the minimum-image displacements the table serves give the exact
-// periodic answer -- no Ewald-style correction needed.
+// |rho_k|^2 = N + 2 sum_{i<j} cos(k . r_ij), so this is the pair sum
+// 1 + (2/N) sum_{i<j} cos(k . dr_ij) in N n_k sin/cos pairs instead of
+// N(N-1)/2 n_k cosines. Because every k is an exact reciprocal-lattice
+// vector (integer combos of lattice.reciprocal_rows(), 2*pi included),
+// exp(i k . L) = 1: any periodic image of a position gives the same
+// rho_k, so the canonical positions are used as stored, unwrapped.
 //
 // The k-set is deterministic: candidates are enumerated on an integer
-// cube, +/-k duplicates are collapsed (cos is even) keeping the
+// cube, +/-k duplicates are collapsed (S(k) = S(-k)) keeping the
 // lexicographically-positive triple, sorted by (|k|^2, n1, n2, n3), and
 // the first num_kvecs kept. Ties in |k|^2 break on the integer triple,
 // so the ordering is platform-independent. The cube is sized from
@@ -27,7 +29,6 @@
 
 #include "containers/tiny_vector.h"
 #include "estimators/estimator.h"
-#include "particle/distance_table.h"
 #include "particle/lattice.h"
 
 namespace qmcxx
@@ -37,9 +38,8 @@ template<typename TR>
 class StructureFactorEstimator : public Estimator<TR>
 {
 public:
-  StructureFactorEstimator(const Lattice& lattice, int table_ee, int num_electrons,
-                           int num_kvecs)
-      : table_ee_(table_ee), n_(num_electrons)
+  StructureFactorEstimator(const Lattice& lattice, int num_electrons, int num_kvecs)
+      : n_(num_electrons)
   {
     // Smallest cube holding num_kvecs +/- collapsed candidates
     // (((2m+1)^3 - 1) / 2 of them), plus one ring of margin so shell
@@ -87,35 +87,25 @@ public:
 
   void evaluate(const ParticleSet<TR>& elec, FullPrecReal* out) const override
   {
-    const int nk = num_bins();
-    std::fill(out, out + nk, FullPrecReal(0));
-    const auto& dt = elec.table(table_ee_);
-    // Rows outer, k inner: one committed-row fetch per particle (the
-    // AoS Reference tables gather a row per request).
-    for (int i = 1; i < n_; ++i)
+    const TR* x = elec.Rsoa().data(0);
+    const TR* y = elec.Rsoa().data(1);
+    const TR* z = elec.Rsoa().data(2);
+    for (std::size_t ik = 0; ik < kvecs_.size(); ++ik)
     {
-      const DTRowView<TR> v = dt.row(i);
-      for (int ik = 0; ik < nk; ++ik)
+      const TinyVector<FullPrecReal, 3>& k = kvecs_[ik];
+      FullPrecReal re = 0.0, im = 0.0;
+      for (int i = 0; i < n_; ++i)
       {
-        const TinyVector<FullPrecReal, 3>& k = kvecs_[static_cast<std::size_t>(ik)];
-        FullPrecReal acc = 0.0;
-        for (int j = 0; j < i; ++j)
-        {
-          const FullPrecReal dot = k[0] * static_cast<FullPrecReal>(v.dx[j]) +
-              k[1] * static_cast<FullPrecReal>(v.dy[j]) +
-              k[2] * static_cast<FullPrecReal>(v.dz[j]);
-          acc += std::cos(dot);
-        }
-        out[ik] += acc;
+        const FullPrecReal phase = k[0] * static_cast<FullPrecReal>(x[i]) +
+            k[1] * static_cast<FullPrecReal>(y[i]) + k[2] * static_cast<FullPrecReal>(z[i]);
+        re += std::cos(phase);
+        im += std::sin(phase);
       }
+      out[ik] = (re * re + im * im) / static_cast<FullPrecReal>(n_);
     }
-    const FullPrecReal scale = 2.0 / static_cast<FullPrecReal>(n_);
-    for (int ik = 0; ik < nk; ++ik)
-      out[ik] = 1.0 + scale * out[ik];
   }
 
 private:
-  int table_ee_;
   int n_;
   std::vector<TinyVector<FullPrecReal, 3>> kvecs_;
 };

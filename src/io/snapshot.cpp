@@ -4,7 +4,9 @@
 #include <cstdio> // std::rename, std::remove
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "containers/aligned_allocator.h"
 #include "instrument/memory_tracker.h"
@@ -18,48 +20,51 @@ namespace
 constexpr char kMagic[8] = {'q', 'm', 'c', 'x', 's', 'n', 'p', '1'};
 constexpr std::size_t kHeaderBytes = 40;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-std::uint32_t crc32(const char* data, std::size_t n)
-{
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320:
+/// kCrcTables[0] is the classic byte table, and kCrcTables[s][b] is the
+/// CRC of byte b followed by s zero bytes, so eight lookups advance the
+/// register over eight bytes at once.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i)
+  {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < 8; ++s)
     for (std::uint32_t i = 0; i < 256; ++i)
-    {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xffu] ^ (crc >> 8);
-  return crc ^ 0xffffffffu;
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xffu];
+  return t;
+}();
+
+/// Little-endian 32-bit load, byte by byte: the same on any host.
+std::uint32_t load_le32(const unsigned char* p)
+{
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+      static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-/// Append-only packed byte writer. Staged in an aligned_vector so the
-/// serialization working set is visible to MemoryTracker (the server's
-/// per-job budgeting counts snapshot staging against the job).
-class ByteSink
+/// Payload sinks: serialize_payload emits the byte order once, and each
+/// sink consumes it. ByteCounter sizes a payload, CrcSink checksums it,
+/// StreamSink writes it; none stages a copy.
+struct ByteCounter
 {
-public:
-  template<typename T>
-  void put(const T& v)
-  {
-    static_assert(std::is_trivially_copyable_v<T>, "snapshots stream raw bytes");
-    put_bytes(reinterpret_cast<const char*>(&v), sizeof(T));
-  }
+  std::uint64_t bytes = 0;
+  void put_bytes(const char*, std::size_t n) { bytes += n; }
+};
 
-  void put_bytes(const char* p, std::size_t n)
-  {
-    bytes_.insert(bytes_.end(), p, p + n);
-  }
+struct CrcSink
+{
+  std::uint32_t crc = 0;
+  void put_bytes(const char* p, std::size_t n) { crc = crc32(p, n, crc); }
+};
 
-  const aligned_vector<char>& bytes() const { return bytes_; }
-
-private:
-  aligned_vector<char> bytes_;
+struct StreamSink
+{
+  std::ostream& out;
+  void put_bytes(const char* p, std::size_t n) { out.write(p, static_cast<std::streamsize>(n)); }
 };
 
 /// Bounds-checked packed byte reader; any overrun means the payload was
@@ -95,34 +100,40 @@ private:
   std::size_t cur_ = 0;
 };
 
-void serialize_payload(const PopulationSnapshot& snap, ByteSink& sink)
+/// The qmcxx-snap-v1 payload byte order, for every sink.
+template<typename Sink>
+void serialize_payload(const PopulationSnapshot& snap, Sink& sink)
 {
-  sink.put(snap.master_seed);
-  sink.put(snap.tau);
-  sink.put(static_cast<std::uint32_t>(snap.kind));
-  sink.put(std::uint32_t{1}); // buffers stored
-  sink.put(snap.generation);
-  sink.put(snap.trial_energy);
-  sink.put(snap.branch_rng);
-  sink.put(snap.num_particles);
-  sink.put(static_cast<std::uint64_t>(snap.walkers.size()));
+  const auto put = [&sink](const auto& v) {
+    static_assert(std::is_trivially_copyable_v<std::decay_t<decltype(v)>>,
+                  "snapshots stream raw bytes");
+    sink.put_bytes(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(snap.master_seed);
+  put(snap.tau);
+  put(static_cast<std::uint32_t>(snap.kind));
+  put(std::uint32_t{1}); // buffers stored
+  put(snap.generation);
+  put(snap.trial_energy);
+  put(snap.branch_rng);
+  put(snap.num_particles);
+  put(static_cast<std::uint64_t>(snap.walkers.size()));
   for (const WalkerSnapshot& w : snap.walkers)
   {
     if (w.R.size() != snap.num_particles)
       throw std::logic_error("qmcxx-snap: walker position count does not match "
                              "PopulationSnapshot::num_particles");
-    sink.put(w.id);
-    sink.put(w.parent_id);
-    sink.put(w.weight);
-    sink.put(w.multiplicity);
-    sink.put(w.local_energy);
-    sink.put(w.old_local_energy);
-    sink.put(w.log_psi);
-    sink.put(w.age);
-    sink.put(w.rng);
-    sink.put_bytes(reinterpret_cast<const char*>(w.R.data()),
-                   w.R.size() * sizeof(Walker::Pos));
-    sink.put(static_cast<std::uint64_t>(w.buffer.size()));
+    put(w.id);
+    put(w.parent_id);
+    put(w.weight);
+    put(w.multiplicity);
+    put(w.local_energy);
+    put(w.old_local_energy);
+    put(w.log_psi);
+    put(w.age);
+    put(w.rng);
+    sink.put_bytes(reinterpret_cast<const char*>(w.R.data()), w.R.size() * sizeof(Walker::Pos));
+    put(static_cast<std::uint64_t>(w.buffer.size()));
     sink.put_bytes(w.buffer.data(), w.buffer.size());
   }
 }
@@ -193,6 +204,24 @@ PopulationSnapshot parse_payload(std::uint32_t precision_bytes, std::uint64_t fi
 
 } // namespace
 
+std::uint32_t crc32(const char* data, std::size_t n, std::uint32_t crc)
+{
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
+  crc = ~crc;
+  for (; n >= 8; n -= 8, p += 8)
+  {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p)
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+  return ~crc;
+}
+
 std::uint64_t workload_fingerprint(std::string_view workload, std::string_view variant,
                                    int delay_rank, std::uint64_t spec_hash)
 {
@@ -258,17 +287,19 @@ void validate_compatible(const PopulationSnapshot& snap, const SnapshotExpectati
 
 std::size_t snapshot_payload_bytes(const PopulationSnapshot& snap)
 {
-  ByteSink sink;
-  serialize_payload(snap, sink);
-  return sink.bytes().size();
+  ByteCounter counter;
+  serialize_payload(snap, counter);
+  return counter.bytes;
 }
 
 std::size_t write_snapshot_file(const std::string& path, const PopulationSnapshot& snap)
 {
-  MemoryScope scope("snapshot-write");
-  ByteSink sink;
-  serialize_payload(snap, sink);
-  const std::uint32_t crc = crc32(sink.bytes().data(), sink.bytes().size());
+  // Passes over the population instead of a staged copy: the header
+  // needs the payload's size and CRC before the payload itself.
+  const std::uint64_t payload_bytes = snapshot_payload_bytes(snap);
+  CrcSink checksum;
+  serialize_payload(snap, checksum);
+  const std::uint32_t crc = checksum.crc;
 
   char header[kHeaderBytes];
   std::size_t off = 0;
@@ -277,7 +308,6 @@ std::size_t write_snapshot_file(const std::string& path, const PopulationSnapsho
     off += n;
   };
   const std::uint32_t version = SNAPSHOT_VERSION;
-  const std::uint64_t payload_bytes = sink.bytes().size();
   const std::uint32_t reserved = 0;
   put(kMagic, sizeof(kMagic));
   put(&version, sizeof(version));
@@ -293,7 +323,8 @@ std::size_t write_snapshot_file(const std::string& path, const PopulationSnapsho
     if (!out)
       throw std::runtime_error("qmcxx-snap: cannot open '" + tmp + "' for writing");
     out.write(header, static_cast<std::streamsize>(kHeaderBytes));
-    out.write(sink.bytes().data(), static_cast<std::streamsize>(payload_bytes));
+    StreamSink file{out};
+    serialize_payload(snap, file);
     out.flush();
     if (!out)
     {
@@ -346,12 +377,27 @@ PopulationSnapshot read_snapshot_file(const std::string& path)
                              std::to_string(version) + " in '" + path + "' (this build reads "
                              "version " + std::to_string(SNAPSHOT_VERSION) + ")");
 
+  const auto truncated = [&](std::uint64_t held) {
+    return std::runtime_error("qmcxx-snap: truncated snapshot '" + path + "' (header declares " +
+                              std::to_string(payload_bytes) + " payload bytes, file holds " +
+                              std::to_string(held) + ")");
+  };
+  // The declared size is checked against the file before it is
+  // allocated: a corrupt header must not drive a huge allocation.
+  const std::streamoff payload_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(payload_start);
+  if (!in || payload_start < 0 || file_end < payload_start)
+    throw std::runtime_error("qmcxx-snap: cannot seek in '" + path + "'");
+  const auto held = static_cast<std::uint64_t>(file_end - payload_start);
+  if (payload_bytes > held)
+    throw truncated(held);
+
   aligned_vector<char> payload(payload_bytes);
   in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
   if (in.gcount() != static_cast<std::streamsize>(payload_bytes))
-    throw std::runtime_error("qmcxx-snap: truncated snapshot '" + path + "' (header declares " +
-                             std::to_string(payload_bytes) + " payload bytes, file holds " +
-                             std::to_string(in.gcount()) + ")");
+    throw truncated(static_cast<std::uint64_t>(in.gcount()));
 
   const std::uint32_t crc_computed = crc32(payload.data(), payload.size());
   if (crc_computed != crc_stored)

@@ -131,19 +131,31 @@ struct SnapshotExpectation
 void validate_compatible(const PopulationSnapshot& snap, const SnapshotExpectation& expect);
 
 /// Serialize and write atomically (temp file + rename: an interrupt
-/// mid-write never leaves a torn snapshot at `path`). Returns the total
-/// file size in bytes. Throws std::runtime_error on I/O failure.
+/// mid-write never leaves a torn snapshot at `path`). The payload is
+/// streamed from `snap` with no staging copy: passes over the
+/// population size it and checksum it for the header, and the last one
+/// writes it. Returns the total file size in bytes. Throws
+/// std::runtime_error on I/O failure.
 std::size_t write_snapshot_file(const std::string& path, const PopulationSnapshot& snap);
 
 /// Read and structurally validate (magic, version, declared payload
-/// size, CRC-32, exact payload parse). Compatibility with a particular
+/// size against the bytes in the file before anything is allocated,
+/// CRC-32, exact payload parse). Compatibility with a particular
 /// run is a separate step: validate_compatible / the driver's
 /// restore_snapshot. Throws std::runtime_error naming the failure.
 [[nodiscard]] PopulationSnapshot read_snapshot_file(const std::string& path);
 
 /// Serialized payload size of a snapshot (per-walker byte accounting
-/// for the bench and the server's budget records).
+/// for the bench and the server's budget records). Counts the bytes the
+/// writer would emit, in O(walkers), without serializing anything.
 [[nodiscard]] std::size_t snapshot_payload_bytes(const PopulationSnapshot& snap);
+
+/// The header's payload checksum: CRC-32 as in IEEE 802.3 and zlib
+/// (reflected polynomial 0xEDB88320, register preset and result
+/// inverted; crc32("123456789") == 0xCBF43926), computed slicing-by-8.
+/// `crc` continues an earlier result: crc32(b, nb, crc32(a, na)) is the
+/// CRC of a followed by b.
+[[nodiscard]] std::uint32_t crc32(const char* data, std::size_t n, std::uint32_t crc = 0);
 
 } // namespace qmcxx::io
 

@@ -1,12 +1,16 @@
 // Estimator layer: g(r) and S(k) against brute-force O(N^2) references
-// on hand-checkable configurations, Bragg-peak physics on a perfect
+// on hand-checkable configurations, S(k) against the pair sum on a
+// jittered 256-electron Graphite cell in both precisions with a
+// tolerance derived from rounding bounds, Bragg-peak physics on a perfect
 // sublattice, bitwise invariance of estimator bins across crowd and
 // thread decompositions, and chain-neutrality (attaching estimators
 // must never perturb the Markov chain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "test_utils.h"
 #include "workloads/system_builder.h"
 #include "workloads/system_spec.h"
+#include "workloads/workloads.h"
 
 using namespace qmcxx;
 using namespace qmcxx::testing;
@@ -120,7 +125,7 @@ TEST(StructureFactor, MatchesBruteForceOnRandomConfiguration)
   const std::vector<Pos> r = random_positions(lattice, n, 987);
   const TestConfig cfg = make_config(lattice, r);
 
-  StructureFactorEstimator<double> est(lattice, cfg.table_ee, n, nk);
+  StructureFactorEstimator<double> est(lattice, n, nk);
   ASSERT_EQ(est.num_bins(), nk);
   std::vector<FullPrecReal> bins(static_cast<std::size_t>(nk));
   est.evaluate(*cfg.elec, bins.data());
@@ -141,6 +146,120 @@ TEST(StructureFactor, MatchesBruteForceOnRandomConfiguration)
   }
 }
 
+namespace
+{
+
+/// Graphite's 256 electrons: four per carbon of specs/graphite.json,
+/// each displaced by up to 0.7 bohr along every axis.
+std::vector<Pos> jittered_graphite_electrons(const SystemSpec& spec)
+{
+  RandomGenerator rng(2024);
+  std::vector<Pos> r;
+  for (const Pos& ion : spec.ion_positions)
+    for (int e = 0; e < 4; ++e)
+      r.push_back(ion + Pos{1.4 * (rng.uniform() - 0.5), 1.4 * (rng.uniform() - 0.5),
+                            1.4 * (rng.uniform() - 0.5)});
+  return r;
+}
+
+/// The pairwise definition in double, summed row by row:
+/// S(k) = 1 + (2/N) sum_{i<j} cos(k . min_image(r_j - r_i)).
+std::vector<double> pair_sum_sofk(const Lattice& lattice, const std::vector<Pos>& r,
+                                  const std::vector<TinyVector<double, 3>>& kvecs)
+{
+  const std::size_t n = r.size();
+  std::vector<double> sum(kvecs.size(), 0.0);
+  std::vector<double> row(kvecs.size());
+  for (std::size_t j = 1; j < n; ++j)
+  {
+    std::fill(row.begin(), row.end(), 0.0);
+    for (std::size_t i = 0; i < j; ++i)
+    {
+      const Pos d = lattice.min_image(r[j] - r[i]);
+      for (std::size_t ik = 0; ik < kvecs.size(); ++ik)
+        row[ik] += std::cos(kvecs[ik][0] * d[0] + kvecs[ik][1] * d[1] + kvecs[ik][2] * d[2]);
+    }
+    for (std::size_t ik = 0; ik < kvecs.size(); ++ik)
+      sum[ik] += row[ik];
+  }
+  for (double& s : sum)
+    s = 1.0 + 2.0 / static_cast<double>(n) * s;
+  return sum;
+}
+
+template<typename TR>
+void check_sofk_on_jittered_graphite()
+{
+  const SystemSpec spec = workload_spec(Workload::Graphite);
+  ASSERT_EQ(spec.num_electrons, 256);
+  const std::vector<Pos> jittered = jittered_graphite_electrons(spec);
+  ASSERT_EQ(jittered.size(), 256u);
+  ParticleSet<TR> elec("e", spec.lattice);
+  elec.add_species("u", -1.0);
+  elec.create({spec.num_electrons});
+  elec.set_positions(jittered);
+
+  const int nk = 6;
+  StructureFactorEstimator<TR> est(spec.lattice, spec.num_electrons, nk);
+  std::vector<FullPrecReal> bins(static_cast<std::size_t>(nk));
+  est.evaluate(elec, bins.data());
+
+  // The reference reads the positions the set holds: for TR = float they
+  // are float-rounded inputs to both sides, so the gap below is rounding
+  // in the double arithmetic alone.
+  std::vector<Pos> r(jittered.size());
+  FullPrecReal rmax = 0.0;
+  for (int i = 0; i < elec.size(); ++i)
+  {
+    r[static_cast<std::size_t>(i)] = elec.pos(i);
+    for (unsigned d = 0; d < 3; ++d)
+      rmax = std::max(rmax, std::abs(r[static_cast<std::size_t>(i)][d]));
+  }
+  const std::vector<double> expected = pair_sum_sofk(spec.lattice, r, est.kvecs());
+
+  // Tolerance: worst-case rounding bounds in double, u = 2^-53, N = 256.
+  // Every phase is formed from values of magnitude at most
+  // Phi = |k|_1 (2 rmax + sum of the cell rows' largest components).
+  // - Estimator: a phase k . r_i is off by at most 4 u Phi (three
+  //   roundings, plus the rounded k missing an exact reciprocal vector
+  //   over the positions' lattice translations); cos/sin add u; recursive
+  //   summation of N unit-modulus terms adds (N-1) N u. So re and im are
+  //   each off by at most E = N (N + 4 Phi + 1) u, and |rho|^2 / N moves
+  //   by at most 2 (|re| + |im|) E / N + 2 N u <= 2 sqrt(2) E + 2 N u.
+  // - Pair sum: a phase k . min_image(r_j - r_i) is off by at most
+  //   16 u Phi (difference, to_unit, to_cart, image shift, dot product);
+  //   the rows add N^3 u / 3 and the sum over rows N^3 u / 2; times 2/N
+  //   that is N (16 Phi + 1) u + (5/3) N^2 u.
+  // That is 5e-11 to 2e-10 here, against gaps near 3e-14; a float
+  // accumulator misses by 5e-9 to 5e-7.
+  const FullPrecReal u = std::numeric_limits<FullPrecReal>::epsilon() / 2;
+  const FullPrecReal n = spec.num_electrons;
+  FullPrecReal cell = 0.0;
+  for (const Pos& a : spec.lattice.rows())
+    cell += std::max({std::abs(a[0]), std::abs(a[1]), std::abs(a[2])});
+  for (int ik = 0; ik < nk; ++ik)
+  {
+    const auto& k = est.kvecs()[static_cast<std::size_t>(ik)];
+    const FullPrecReal phi = (std::abs(k[0]) + std::abs(k[1]) + std::abs(k[2])) * (2 * rmax + cell);
+    const FullPrecReal tol = 2 * std::sqrt(2.0) * n * (n + 4 * phi + 1) * u + 2 * n * u +
+        n * (16 * phi + 1) * u + 5.0 / 3.0 * n * n * u;
+    EXPECT_NEAR(bins[static_cast<std::size_t>(ik)], expected[static_cast<std::size_t>(ik)], tol)
+        << "kvec " << ik;
+  }
+}
+
+} // namespace
+
+TEST(StructureFactor, MatchesPairSumOnJitteredGraphiteDouble)
+{
+  check_sofk_on_jittered_graphite<double>();
+}
+
+TEST(StructureFactor, MatchesPairSumOnJitteredGraphiteFloat)
+{
+  check_sofk_on_jittered_graphite<float>();
+}
+
 // ---- hand-checkable physics -------------------------------------------
 
 TEST(StructureFactor, BraggPeaksOnPerfectSublattice)
@@ -155,7 +274,7 @@ TEST(StructureFactor, BraggPeaksOnPerfectSublattice)
   const TestConfig cfg = make_config(lattice, r);
 
   const int nk = 16; // reaches the (2,0,0) shell, the first Bragg star
-  StructureFactorEstimator<double> est(lattice, cfg.table_ee, 8, nk);
+  StructureFactorEstimator<double> est(lattice, 8, nk);
   ASSERT_EQ(est.num_bins(), nk);
   std::vector<FullPrecReal> bins(static_cast<std::size_t>(nk));
   est.evaluate(*cfg.elec, bins.data());

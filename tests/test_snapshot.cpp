@@ -1,8 +1,10 @@
 // qmcxx-snap-v1 checkpoint/restart tests: RNG-state round-trips, file
-// format validation (magic/version/CRC/truncation), compatibility
-// rejection, the no-mutation-on-failed-load guarantee, and the hard
-// acceptance bar -- bitwise-exact resume of VMC and DMC chains at every
-// crowd_size x num_threads decomposition, branching history included.
+// format validation (magic/version/CRC/truncation), the format's bytes
+// pinned to a golden file, the slicing-by-8 CRC against a bitwise one,
+// compatibility rejection, the no-mutation-on-failed-load guarantee, and
+// the hard acceptance bar -- bitwise-exact resume of VMC and DMC chains
+// at every crowd_size x num_threads decomposition, branching history
+// included.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -129,6 +131,28 @@ void truncate_file(const std::string& path, std::size_t keep)
   std::filesystem::resize_file(path, keep);
 }
 
+std::vector<char> read_bytes(const std::string& path)
+{
+  std::vector<char> bytes(std::filesystem::file_size(path));
+  std::ifstream(path, std::ios::binary)
+      .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+/// CRC-32 (IEEE, reflected 0xEDB88320) one bit at a time: the
+/// reference io::crc32 must equal.
+std::uint32_t bitwise_crc32(const char* data, std::size_t n)
+{
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i)
+  {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xffffffffu;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -222,19 +246,10 @@ TEST(SnapshotFile, RejectsBuffersFlagZero)
   // parse even with a valid CRC: resume needs the buffers.
   const std::string path = tmp_path("qmcxx_nobuf.snap");
   io::write_snapshot_file(path, synthetic_snapshot());
-  std::vector<char> bytes(std::filesystem::file_size(path));
-  std::ifstream(path, std::ios::binary)
-      .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  std::vector<char> bytes = read_bytes(path);
   // Payload offset 20: after u64 master_seed, f64 tau and u32 kind.
   std::memset(bytes.data() + 40 + 20, 0, sizeof(std::uint32_t));
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 40; i < bytes.size(); ++i)
-  {
-    crc ^= static_cast<unsigned char>(bytes[i]);
-    for (int k = 0; k < 8; ++k)
-      crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
-  }
-  crc ^= 0xffffffffu;
+  const std::uint32_t crc = bitwise_crc32(bytes.data() + 40, bytes.size() - 40);
   std::memcpy(bytes.data() + 32, &crc, sizeof(crc)); // header payload_crc32
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -246,6 +261,69 @@ TEST(SnapshotFile, RejectsMissingFile)
 {
   EXPECT_THROW((void)io::read_snapshot_file(tmp_path("qmcxx_nonexistent.snap")),
                std::runtime_error);
+}
+
+TEST(SnapshotFile, RejectsOversizedDeclaredPayload)
+{
+  // A bare header declaring 2^62 payload bytes: the reader must compare
+  // the declared size with the file before it allocates that much.
+  const std::string path = tmp_path("qmcxx_oversized.snap");
+  io::write_snapshot_file(path, synthetic_snapshot());
+  truncate_file(path, 40);
+  std::vector<char> bytes = read_bytes(path);
+  const std::uint64_t declared = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + 24, &declared, sizeof(declared)); // header payload_bytes
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  expect_throw_with([&] { (void)io::read_snapshot_file(path); }, "truncated snapshot");
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotFile, BytesMatchV1Golden)
+{
+  // Size and whole-file CRC-32 of synthetic_snapshot() as the staged
+  // writer with the bytewise CRC wrote it at commit b82462f: the
+  // streamed writer must emit the same qmcxx-snap-v1 bytes.
+  constexpr std::size_t kGoldenBytes = 538;
+  constexpr std::uint32_t kGoldenCrc = 0x7F57A537u;
+  const std::string path = tmp_path("qmcxx_golden.snap");
+  EXPECT_EQ(io::write_snapshot_file(path, synthetic_snapshot()), kGoldenBytes);
+  const std::vector<char> bytes = read_bytes(path);
+  EXPECT_EQ(bytes.size(), kGoldenBytes);
+  EXPECT_EQ(bitwise_crc32(bytes.data(), bytes.size()), kGoldenCrc);
+  std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// Payload checksum
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotCrc, StandardCheckValue)
+{
+  const char check[] = "123456789";
+  EXPECT_EQ(io::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(check, 0), 0u);
+}
+
+TEST(SnapshotCrc, SlicingBy8MatchesBitwiseReference)
+{
+  // Every length 0-67 at every start offset 0-7 covers each alignment
+  // and each split between the 8-byte blocks and the byte tail; a
+  // chained CRC over every split point must equal the one-call result.
+  std::vector<char> buf(67 + 7);
+  RandomGenerator rng(5);
+  for (char& c : buf)
+    c = static_cast<char>(rng.next() & 0xffu);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 67; ++len)
+    {
+      const char* p = buf.data() + off;
+      const std::uint32_t ref = bitwise_crc32(p, len);
+      ASSERT_EQ(io::crc32(p, len), ref) << "offset " << off << " length " << len;
+      for (std::size_t split = 0; split <= len; ++split)
+        ASSERT_EQ(io::crc32(p + split, len - split, io::crc32(p, split)), ref)
+            << "offset " << off << " length " << len << " split " << split;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -516,8 +594,10 @@ namespace
 {
 
 /// Full engine path: build workload, run, checkpoint mid-run via the
-/// driver knobs, resume via EngineRunSpec::resume_path.
-void check_engine_resume(Workload workload, bool dmc, int crowd, int threads)
+/// driver knobs, resume via EngineRunSpec::resume_path, at crowd sizes
+/// {1, 4} x threads {1, 4}. The uninterrupted reference chain depends on
+/// neither, so it runs once.
+void check_engine_resume_all_decompositions(Workload workload, bool dmc)
 {
   const int steps = 4, cut = 2;
   EngineRunSpec ref_spec;
@@ -530,39 +610,40 @@ void check_engine_resume(Workload workload, bool dmc, int crowd, int threads)
   const EngineReport ref = run_engine(ref_spec);
 
   const std::string path = tmp_path("qmcxx_engine_parity.snap");
-  EngineRunSpec head_spec = ref_spec;
-  head_spec.driver.steps = cut;
-  head_spec.driver.crowd_size = crowd;
-  head_spec.driver.num_threads = threads;
-  head_spec.driver.checkpoint_every = cut;
-  head_spec.driver.checkpoint_path = path;
-  const EngineReport head = run_engine(head_spec);
+  for (const int crowd : {1, 4})
+    for (const int threads : {1, 4})
+    {
+      SCOPED_TRACE("crowd " + std::to_string(crowd) + " threads " + std::to_string(threads));
+      EngineRunSpec head_spec = ref_spec;
+      head_spec.driver.steps = cut;
+      head_spec.driver.crowd_size = crowd;
+      head_spec.driver.num_threads = threads;
+      head_spec.driver.checkpoint_every = cut;
+      head_spec.driver.checkpoint_path = path;
+      const EngineReport head = run_engine(head_spec);
 
-  EngineRunSpec tail_spec = ref_spec;
-  tail_spec.driver.crowd_size = crowd;
-  tail_spec.driver.num_threads = threads;
-  tail_spec.resume_path = path;
-  const EngineReport tail = run_engine(tail_spec);
-  EXPECT_EQ(tail.result.start_generation, cut);
+      EngineRunSpec tail_spec = ref_spec;
+      tail_spec.driver.crowd_size = crowd;
+      tail_spec.driver.num_threads = threads;
+      tail_spec.resume_path = path;
+      const EngineReport tail = run_engine(tail_spec);
+      EXPECT_EQ(tail.result.start_generation, cut);
 
-  EXPECT_TRUE(chains_bitwise(ref.result.generations, joined(head.result, tail.result)));
-  std::filesystem::remove(path);
+      EXPECT_TRUE(chains_bitwise(ref.result.generations, joined(head.result, tail.result)));
+      std::filesystem::remove(path);
+    }
 }
 
 } // namespace
 
 TEST(EngineResume, GraphiteVmcAllDecompositions)
 {
-  for (const int crowd : {1, 4})
-    for (const int threads : {1, 4})
-      check_engine_resume(Workload::Graphite, false, crowd, threads);
+  check_engine_resume_all_decompositions(Workload::Graphite, false);
 }
 
 TEST(EngineResume, NiO32DmcAllDecompositions)
 {
-  for (const int crowd : {1, 4})
-    for (const int threads : {1, 4})
-      check_engine_resume(Workload::NiO32, true, crowd, threads);
+  check_engine_resume_all_decompositions(Workload::NiO32, true);
 }
 
 namespace

@@ -157,13 +157,14 @@ fi
 # Every streamed line is one JSON record naming its job, quotes in the
 # file name included. The content checks read the parsed records:
 # - job1 asked for estimators, so every generation record carries the
-#   named observables and the gofr/sofk bin arrays;
+#   named observables, 32 finite gofr bins >= 0 and 6 finite sofk bins
+#   in [0, 256] (S(k) = |rho_k|^2 / N of 256 electrons);
 # - job2 did not, so none of its records has estimator bins;
 # - every job3 record carries the drift-guard telemetry, and its
 #   single-precision policy sampled rows in every generation;
 # - stdin mode completed exactly its two jobs.
 python3 - "$REF" "$SPOOL" "$KILL" "$WORK/stdin.out" <<'EOF'
-import glob, json, os, sys
+import glob, json, math, os, sys
 
 def records(path):
     with open(path, encoding="utf-8") as f:
@@ -187,10 +188,20 @@ def generations(job):
     path = os.path.join(sys.argv[1], job + ".json.stream")
     return [rec for rec in streams[path] if rec["type"] == "generation"]
 
+def bins_ok(values, count, lo, hi):
+    return isinstance(values, list) and len(values) == count and all(
+        isinstance(v, (int, float)) and math.isfinite(v) and lo <= v <= hi for v in values)
+
 for rec in generations("job1"):
     est = rec.get("estimators", {})
     if "observables" not in rec or "gofr" not in est or "sofk" not in est:
         sys.exit(f"server_smoke: job1 gen {rec['gen']} lacks observables or gofr/sofk bins")
+    if not bins_ok(est["gofr"], 32, 0.0, math.inf):
+        sys.exit(f"server_smoke: job1 gen {rec['gen']} gofr is not 32 finite bins >= 0: "
+                 f"{est['gofr']}")
+    if not bins_ok(est["sofk"], 6, 0.0, 256.0):
+        sys.exit(f"server_smoke: job1 gen {rec['gen']} sofk is not 6 finite bins in [0, 256]: "
+                 f"{est['sofk']}")
 if any("estimators" in rec for rec in generations("job2")):
     sys.exit("server_smoke: job2 streamed estimator bins without asking")
 for rec in generations("job3"):

@@ -4,8 +4,11 @@
 // The Ref footprint grows as gamma (Nth + Nw) N^2 from the
 // store-over-compute walker buffers (5 N^2 J2 scalars + determinant
 // state per walker) plus the packed-triangle tables; Current eliminates
-// the J2 matrices (compute-on-the-fly) and halves precision. No MC steps
-// are needed: the footprint is measured right after population setup.
+// the J2 matrices (compute-on-the-fly), halves precision, and keeps an
+// O(N) electron-electron table (three rows; the others are computed on
+// demand), so its dist-tables column is mostly the N x ions table.
+// No MC steps are needed: the footprint is measured right after
+// population setup.
 #include "bench/bench_common.h"
 
 using namespace qmcxx;

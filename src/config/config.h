@@ -58,7 +58,7 @@ enum class EngineVariant
 {
   Ref,     ///< AoS, store-over-compute, double
   RefMP,   ///< AoS, store-over-compute, mixed precision
-  Current, ///< SoA, forward update, compute-on-the-fly, mixed precision
+  Current, ///< SoA, compute-on-the-fly, mixed precision
   CurrentDP ///< Current algorithms in full double precision (ablation)
 };
 
@@ -97,11 +97,11 @@ inline int precision_bytes(Precision p)
 }
 
 /// Data-layout half of the engine taxonomy: the paper's Ref engines are
-/// AoS store-over-compute, the Current engines SoA forward-update.
+/// AoS store-over-compute, the Current engines SoA compute-on-the-fly.
 enum class EngineLayout
 {
   Aos, ///< AoS containers, store-over-compute (Ref algorithms)
-  Soa  ///< SoA containers, forward update, compute-on-the-fly
+  Soa  ///< SoA containers, compute-on-the-fly
 };
 
 inline const char* to_string(EngineLayout l)

@@ -1,6 +1,6 @@
 // Row-major matrix with optional row padding, on aligned storage.
 //
-// Used for the N x Np distance-table rows (paper Fig. 6b), the Jastrow
+// Used for the SoA distance-table rows (paper Fig. 6b), the Jastrow
 // U/dU/d2U matrices of the Ref implementation, and the inverse Slater
 // matrices. Rows can be padded to the SIMD alignment so that each row
 // supports aligned unit-stride access.

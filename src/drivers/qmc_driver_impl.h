@@ -319,6 +319,17 @@ void QMCDriver<TR>::restore_snapshot(const io::PopulationSnapshot& snap)
   expect.tau = config_.tau;
   expect.num_particles = static_cast<std::uint64_t>(elec_proto_.size());
   io::validate_compatible(snap, expect);
+  // Each buffer must hold exactly the layout the wavefunction registers:
+  // copy_from_buffer and update_buffer stream that layout unchecked in
+  // Release builds, and a fingerprint of 0 matches any file.
+  PooledBuffer probe;
+  twf_proto_.register_data(probe);
+  for (std::size_t iw = 0; iw < snap.walkers.size(); ++iw)
+    if (snap.walkers[iw].buffer.size() != probe.size())
+      throw std::runtime_error("snapshot walker " + std::to_string(iw) + " has a " +
+                               std::to_string(snap.walkers[iw].buffer.size()) +
+                               "-byte buffer; the wavefunction registers " +
+                               std::to_string(probe.size()) + " bytes");
 
   // Build the full replacement population before touching pop_: any
   // throw below this point must leave the driver exactly as it was

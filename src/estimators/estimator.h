@@ -3,10 +3,11 @@
 //
 // Contract (mirrors the TimerRegistry discipline from PR 4):
 //   - evaluate() is const and reads only the committed configuration
-//     (positions and distance-table rows), so ONE shared instance
-//     serves every crowd thread concurrently with zero walker-visible
-//     state. Estimators never perturb the Markov chain: chains are
-//     bitwise-identical with estimators attached or not.
+//     (positions and distance-table rows, which may be computed into
+//     the crowd slot's table scratch). It holds no mutable state, so ONE
+//     shared instance serves every crowd thread concurrently. Estimators
+//     never perturb the Markov chain: chains are bitwise-identical with
+//     estimators attached or not.
 //   - Per-walker samples land in FullPrecReal rows of a flat
 //     [num_walkers x total_bins] buffer (disjoint slices per crowd =
 //     data-race-free), and the driver reduces them serially in fixed

@@ -1,6 +1,7 @@
 // Pair-correlation function g(r): a radial histogram over the
-// electron-electron distance table's committed rows (the same
-// unit-stride lower-triangle sweep CoulombEE does, paper Sec. 7.4).
+// electron-electron distance table's committed rows, j < i only (the
+// same unit-stride lower-triangle sweep CoulombEE does, paper Sec. 7.4),
+// computed into the crowd slot's table scratch by the O(N) SoA table.
 //
 // Each walker sample is already normalized,
 //   g_b = 2 V / (N (N-1) vol(shell_b)) * count_b,
@@ -54,7 +55,7 @@ public:
     const auto& dt = elec.table(table_ee_);
     for (int i = 1; i < n_; ++i)
     {
-      const TR* __restrict d = dt.row_distances(i);
+      const TR* __restrict d = dt.row_distances(elec, i);
       for (int j = 0; j < i; ++j)
       {
         const FullPrecReal r = static_cast<FullPrecReal>(d[j]);

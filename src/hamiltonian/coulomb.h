@@ -10,10 +10,11 @@
 //                 pseudopotential local channels, see DESIGN.md)
 //
 // CoulombEE and CoulombEI take the index of their distance table in the
-// electron set: the real-space pair sums consume the committed
-// unit-stride table rows -- the same minimum-image distances the rest
-// of the engine uses -- so the erfc loops vectorize and no AoS position
-// vector is rebuilt per measurement. The reciprocal-space parts share
+// electron set: the real-space pair sums consume unit-stride committed
+// rows -- the same minimum-image distances the rest of the engine uses --
+// so the erfc loops vectorize and no AoS position vector is rebuilt per
+// measurement. CoulombEE reads only the j < i part of each row, each
+// pair once, which the O(N) SoA table computes on demand. The reciprocal-space parts share
 // one electron structure factor rho_e(k) per configuration
 // (electron_rho), summed from the canonical SoA rows by the vectorized
 // EwaldSum::structure_factor and cached in the electron set.
@@ -68,24 +69,26 @@ public:
   double evaluate(ParticleSet<TR>& p, TrialWaveFunction<TR>& twf) override
   {
     (void)twf;
-    ScopedTimer timer(Kernel::Other);
     const int n = p.size();
     if (charges_.size() != static_cast<std::size_t>(n))
       charges_.assign(n, -1.0);
-    // Real-space pair sum over the committed AA rows: every electron
-    // pair carries q_i q_j = 1, each row is unit-stride (Sec. 7.4).
+    // Real-space pair sum over the committed AA rows, j < i: every
+    // electron pair carries q_i q_j = 1, each row is unit-stride
+    // (Sec. 7.4). The row itself is DistTable time, the sum Other.
     const auto& dt = p.table(table_ee_);
     const EwaldSum& ew = *ewald_;
     FullPrecReal e_real = 0.0;
     for (int i = 1; i < n; ++i)
     {
-      const TR* __restrict d = dt.row_distances(i);
+      const TR* __restrict d = dt.row_distances(p, i);
+      ScopedTimer timer(Kernel::Other);
       FullPrecReal acc = 0.0;
 #pragma omp simd reduction(+ : acc)
       for (int j = 0; j < i; ++j)
         acc += ew.real_space_term(static_cast<double>(d[j]));
       e_real += acc;
     }
+    ScopedTimer timer(Kernel::Other);
     const auto& rho = electron_rho(ew, p);
     return e_real + ew.kspace_energy(rho.re.data(), rho.im.data()) + ew.self_background(charges_);
   }
@@ -170,7 +173,7 @@ public:
     FullPrecReal e_real = 0.0, e_core = 0.0;
     for (int i = 0; i < n; ++i)
     {
-      const TR* __restrict d = dt.row_distances(i);
+      const TR* __restrict d = dt.row_distances(p, i);
       FullPrecReal acc_real = 0.0, acc_core = 0.0;
 #pragma omp simd reduction(+ : acc_real, acc_core)
       for (int a = 0; a < m; ++a)

@@ -82,7 +82,7 @@ public:
     {
       // One unit-stride row serves every ion's distance and quadrature
       // displacement for this electron (no per-pair virtual dispatch).
-      const DTRowView<TR> row = dt.row(i);
+      const DTRowView<TR> row = dt.row(p, i);
       for (int a = 0; a < nion; ++a)
       {
         rd[a] = row.d[a];

@@ -8,9 +8,9 @@
 //   Aos*  -- the Reference implementation (Fig. 6a): packed upper
 //            triangle for AA, AoS TinyVector displacement storage,
 //            scalar loops. The AoS Ref engine builds these.
-//   Soa*  -- the canonical implementation (Fig. 6b): full N x Np padded
-//            rows on SoA storage, forward update or compute-on-the-fly.
-//            The SoA engine builds these.
+//   Soa*  -- the canonical implementation (Fig. 6b): padded SoA rows,
+//            N x M stored for AB, O(N) for AA (the other committed rows
+//            are computed on demand). The SoA engine builds these.
 //
 // Consumers never branch on layout: every table serves its committed
 // rows and the proposed-move row through the unified DTRowView accessor
@@ -18,11 +18,12 @@
 // exactly the Fig. 6a deficiency being measured).
 //
 // Protocol per particle move k (Alg. 1 L4-L10):
-//   prepare_move(P, k)  -- compute-on-the-fly hook: refresh row k from
-//                          current positions (no-op for other modes)
+//   prepare_move(P, k)  -- compute-on-the-fly hook: the SoA AA table
+//                          fills row k from current positions
 //   move(P, rnew, k)    -- fill the temporary row vs. the proposed rnew
 //   update(k)           -- commit the temporary row on acceptance
-//   evaluate(P)         -- full O(N^2) refresh at measurement time
+//   evaluate(P)         -- refresh stored rows after a position write
+//                          outside the protocol (walker load, measurement)
 // plus, for the NLPP quadrature fan (QMCPACK's VirtualParticleSet),
 //   make_virtual_moves(P, k, vpos, nr) -- one distance row per virtual
 //                          position, read by every ratio-only consumer
@@ -49,20 +50,14 @@ class ParticleSet;
 template<typename TR>
 inline constexpr TR DT_BIG_R = TR(1e10);
 
-/// Update policy for the SoA AA table (paper Fig. 6b and Sec. 7.5).
-enum class DTUpdateMode
-{
-  ForwardUpdate, ///< accept copies temp row + strided column for k' > k
-  OnTheFly       ///< row k recomputed in prepare_move; no column update
-};
-
 /// Unit-stride view of one table row: distances plus wrapped
 /// displacement components. Lifetime contract: a committed-row view
 /// (row()/row_distances()) is valid until the next mutating table call
-/// or the next committed-row request — AoS tables reuse one gather
-/// scratch, so at most one committed-row view may be outstanding. The
-/// temp_row() view has dedicated storage in every implementation and
-/// stays valid alongside a committed-row view until the next move().
+/// or the next committed-row request — the AoS and SoA AA tables reuse
+/// one scratch row, so at most one committed-row view may be
+/// outstanding. The temp_row() view has dedicated storage in every
+/// implementation and stays valid alongside a committed-row view until
+/// the next move().
 template<typename TR>
 struct DTRowView
 {
@@ -89,26 +84,17 @@ public:
   int num_sources() const { return num_sources_; }
 
   virtual void evaluate(ParticleSet<TR>& p) = 0;
-  virtual void prepare_move(ParticleSet<TR>& p, int k)
-  {
-    (void)p;
-    (void)k;
-  }
+  virtual void prepare_move(ParticleSet<TR>&, int) {}
   virtual void move(const ParticleSet<TR>& p, const Pos& rnew, int k) = 0;
   virtual void update(int k) = 0;
 
-  /// Distance between target i and source j from committed state.
-  /// (Bulk kernels use the row accessors instead.)
-  virtual TR dist(int i, int j) const = 0;
-  virtual TinyVector<TR, 3> displ(int i, int j) const = 0;
-
-  /// Committed row i as unit-stride arrays. The SoA layout returns its
-  /// storage directly; the AoS layout gathers into scratch.
-  virtual DTRowView<TR> row(int i) const = 0;
-  /// Distances of committed row i alone — for consumers that never read
-  /// displacements (Coulomb erfc sums), sparing the AoS layout the
-  /// three-component gather.
-  virtual const TR* row_distances(int i) const = 0;
+  /// Committed row i of p's configuration as unit-stride arrays: stored,
+  /// gathered (AoS) or computed (SoA AA) into scratch.
+  virtual DTRowView<TR> row(const ParticleSet<TR>& p, int i) const = 0;
+  /// Distances of committed row i alone, for consumers that never read
+  /// displacements (Coulomb erfc sums, g(r)): every source of an AB
+  /// table, but only j < i of an AA table, each pair once.
+  virtual const TR* row_distances(const ParticleSet<TR>& p, int i) const = 0;
   /// The proposed-move row filled by move().
   virtual DTRowView<TR> temp_row() const = 0;
 
@@ -145,7 +131,8 @@ public:
     return virtual_d_.data() + static_cast<std::size_t>(q) * temp_r_.size();
   }
 
-  /// Bytes of committed-table storage (for the memory experiments).
+  /// Bytes of committed-table storage (for the memory experiments); the
+  /// SoA AA table counts the three rows it keeps.
   virtual std::size_t storage_bytes() const = 0;
 
 protected:

@@ -100,14 +100,16 @@ public:
     }
   }
 
-  TR dist(int i, int j) const override
+  /// Pair accessors of the store-over-compute Ref Jastrows (through
+  /// table_as); bulk kernels use the row accessors instead.
+  TR dist(int i, int j) const
   {
     if (i == j)
       return DT_BIG_R<TR>;
     return i < j ? utri_[loc(i, j)] : utri_[loc(j, i)];
   }
 
-  TinyVector<TR, 3> displ(int i, int j) const override
+  TinyVector<TR, 3> displ(int i, int j) const
   {
     if (i == j)
       return TinyVector<TR, 3>{};
@@ -117,7 +119,7 @@ public:
   /// O(N) gather of row i out of the packed triangle into scratch. This
   /// is the access cost the SoA layout removes; the gathered values are
   /// bitwise identical to the canonical rows.
-  DTRowView<TR> row(int i) const override
+  DTRowView<TR> row(const ParticleSet<TR>&, int i) const override
   {
     const int n = this->num_targets_;
     for (int j = 0; j < i; ++j)
@@ -144,7 +146,7 @@ public:
   }
 
   /// Distances-only gather (skips the three displacement components).
-  const TR* row_distances(int i) const override
+  const TR* row_distances(const ParticleSet<TR>&, int i) const override
   {
     const int n = this->num_targets_;
     for (int j = 0; j < i; ++j)
@@ -266,13 +268,15 @@ public:
     }
   }
 
-  TR dist(int i, int j) const override { return d_[i][j]; }
-  TinyVector<TR, 3> displ(int i, int j) const override { return dr_[i][j]; }
+  /// Pair accessors of the store-over-compute Ref Jastrows (through
+  /// table_as).
+  TR dist(int i, int j) const { return d_[i][j]; }
+  TinyVector<TR, 3> displ(int i, int j) const { return dr_[i][j]; }
   const DisplRow& temp_dr() const { return temp_dr_; }
 
   /// Distances are stored contiguously per row; the AoS displacements
   /// pay the O(M) component gather.
-  DTRowView<TR> row(int i) const override
+  DTRowView<TR> row(const ParticleSet<TR>&, int i) const override
   {
     const DisplRow& dr = dr_[i];
     for (int j = 0; j < this->num_sources_; ++j)
@@ -285,7 +289,7 @@ public:
   }
 
   /// Distances are already contiguous per row: no gather at all.
-  const TR* row_distances(int i) const override { return d_[i].data(); }
+  const TR* row_distances(const ParticleSet<TR>&, int i) const override { return d_[i].data(); }
 
   DTRowView<TR> temp_row() const override
   {

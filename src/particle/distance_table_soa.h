@@ -1,19 +1,17 @@
 // Canonical (SoA) distance tables -- paper Fig. 6b and Sec. 7.4-7.5.
 //
-// Full N x Np padded row storage on SoA component arrays; every row is
-// cache-aligned and unit-stride, so the distance kernels vectorize to
-// packed width. Two update policies:
-//   ForwardUpdate -- on acceptance, copy the temp row into row k and
-//                    update the k-th column only for k' > k (the data
-//                    future moves will read).
-//   OnTheFly      -- no column updates at all; row k is recomputed from
-//                    current positions in prepare_move just before the
-//                    move (the paper's final choice: "this eliminates the
-//                    strided copy for the column updates").
-// O(N^2) storage is retained because Hamiltonian measurements reuse the
-// full table (Sec. 7.5). The pair arithmetic lives in
-// min_image_kernel.h, shared with the AoS reference layout so the two
-// are bitwise-interchangeable.
+// Padded rows on SoA component arrays: every row is cache-aligned and
+// unit-stride, so the distance kernels vectorize to packed width. The
+// electron-ion table stores its N x M rows. The electron-electron table
+// stores O(N): the active particle's row, filled by prepare_move from
+// the current positions (the paper's compute-on-the-fly policy), the
+// proposed-move row and one scratch row; any other committed row is
+// computed on demand. Sec. 7.5 kept O(N^2) storage because measurements
+// reused it, but they read each pair once; QMCPACK's batched-driver
+// table (Kent et al., J. Chem. Phys. 152, 174105, 2020) also keeps no
+// full table per walker. The pair arithmetic lives in
+// min_image_kernel.h, shared with the AoS reference layout, so a
+// computed row is bitwise the stored one.
 #ifndef QMCXX_PARTICLE_DISTANCE_TABLE_SOA_H
 #define QMCXX_PARTICLE_DISTANCE_TABLE_SOA_H
 
@@ -28,7 +26,8 @@
 namespace qmcxx
 {
 
-/// Symmetric electron-electron table with full padded rows.
+/// Symmetric electron-electron table in O(N) storage. The prepared and
+/// scratch rows are 4-row matrices: d, dx, dy, dz.
 template<typename TR>
 class SoaDistanceTableAA : public DistanceTable<TR>
 {
@@ -36,15 +35,10 @@ public:
   using Base = DistanceTable<TR>;
   using Pos = typename Base::Pos;
 
-  SoaDistanceTableAA(const Lattice& lattice, int n,
-                     DTUpdateMode mode = DTUpdateMode::OnTheFly)
-      : Base(lattice, n, n), mode_(mode)
+  SoaDistanceTableAA(const Lattice& lattice, int n)
+      : Base(lattice, n, n), prepared_(4, n, /*pad_rows=*/true), scratch_(4, n, true)
   {
-    d_.resize(n, n, /*pad_rows=*/true);
-    dx_.resize(n, n, true);
-    dy_.resize(n, n, true);
-    dz_.resize(n, n, true);
-    const std::size_t np = d_.stride();
+    const std::size_t np = prepared_.stride();
     temp_dx_.assign(np, TR(0));
     temp_dy_.assign(np, TR(0));
     temp_dz_.assign(np, TR(0));
@@ -52,31 +46,19 @@ public:
 
   std::unique_ptr<DistanceTable<TR>> clone() const override
   {
-    return std::make_unique<SoaDistanceTableAA<TR>>(this->lattice_, this->num_targets_, mode_);
+    return std::make_unique<SoaDistanceTableAA<TR>>(this->lattice_, this->num_targets_);
   }
 
-  void evaluate(ParticleSet<TR>& p) override
-  {
-    ScopedTimer dt_timer(Kernel::DistTable);
-    const int n = this->num_targets_;
-    for (int i = 0; i < n; ++i)
-    {
-      compute_row(p, p.Rsoa()(0, i), p.Rsoa()(1, i), p.Rsoa()(2, i), d_.row(i), dx_.row(i),
-                  dy_.row(i), dz_.row(i));
-      d_(i, i) = DT_BIG_R<TR>;
-    }
-  }
+  /// Nothing is stored to refresh; the positions may have been written,
+  /// so the prepared row is dropped.
+  void evaluate(ParticleSet<TR>&) override { prepared_k_ = -1; }
 
-  /// Compute-on-the-fly: refresh row k from the *current* position of k
-  /// before the move is proposed (paper Sec. 7.5).
+  /// Compute-on-the-fly: row k from the *current* position of k, before
+  /// the move is proposed (paper Sec. 7.5).
   void prepare_move(ParticleSet<TR>& p, int k) override
   {
-    ScopedTimer dt_timer(Kernel::DistTable);
-    if (mode_ != DTUpdateMode::OnTheFly)
-      return;
-    compute_row(p, p.Rsoa()(0, k), p.Rsoa()(1, k), p.Rsoa()(2, k), d_.row(k), dx_.row(k),
-                dy_.row(k), dz_.row(k));
-    d_(k, k) = DT_BIG_R<TR>;
+    committed_row(p, k, this->num_targets_, prepared_);
+    prepared_k_ = k;
   }
 
   void move(const ParticleSet<TR>& p, const Pos& rnew, int k) override
@@ -85,80 +67,73 @@ public:
     fill_row(p, rnew, k, this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
   }
 
-  void update(int k) override
+  /// Accepting k moves row k and column k of every row; rows come from
+  /// the positions, so only the prepared row goes stale.
+  void update(int) override { prepared_k_ = -1; }
+
+  DTRowView<TR> row(const ParticleSet<TR>& p, int i) const override
   {
-    ScopedTimer dt_timer(Kernel::DistTable);
-    const std::size_t np = d_.stride();
-    TR* __restrict dk = d_.row(k);
-    TR* __restrict dxk = dx_.row(k);
-    TR* __restrict dyk = dy_.row(k);
-    TR* __restrict dzk = dz_.row(k);
-    const TR* __restrict tr = this->temp_r_.data();
-#pragma omp simd
-    for (std::size_t j = 0; j < np; ++j)
-    {
-      dk[j] = tr[j];
-      dxk[j] = temp_dx_[j];
-      dyk[j] = temp_dy_[j];
-      dzk[j] = temp_dz_[j];
-    }
-    d_(k, k) = DT_BIG_R<TR>;
-    if (mode_ == DTUpdateMode::ForwardUpdate)
-    {
-      // Strided column update, forward rows only (Fig. 6b).
-      const int n = this->num_targets_;
-      for (int i = k + 1; i < n; ++i)
-      {
-        d_(i, k) = tr[i];
-        dx_(i, k) = -temp_dx_[i];
-        dy_(i, k) = -temp_dy_[i];
-        dz_(i, k) = -temp_dz_[i];
-      }
-    }
+    if (i == prepared_k_)
+      return view(prepared_);
+    committed_row(p, i, this->num_targets_, scratch_);
+    return view(scratch_);
   }
 
-  TR dist(int i, int j) const override { return d_(i, j); }
-  TinyVector<TR, 3> displ(int i, int j) const override
+  const TR* row_distances(const ParticleSet<TR>& p, int i) const override
   {
-    return {dx_(i, j), dy_(i, j), dz_(i, j)};
+    if (i == prepared_k_)
+      return prepared_.row(0);
+    committed_row(p, i, i, scratch_);
+    return scratch_.row(0);
   }
 
-  DTRowView<TR> row(int i) const override
-  {
-    return {d_.row(i), dx_.row(i), dy_.row(i), dz_.row(i)};
-  }
-  const TR* row_distances(int i) const override { return d_.row(i); }
   DTRowView<TR> temp_row() const override
   {
     return {this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data()};
   }
 
-  std::size_t row_stride() const { return d_.stride(); }
-
+  /// The prepared, scratch and temp rows, four components each.
   std::size_t storage_bytes() const override
   {
-    return 4 * d_.rows() * d_.stride() * sizeof(TR);
+    return 3 * 4 * prepared_.stride() * sizeof(TR);
   }
 
 protected:
   void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
                 TR* dz) const override
   {
-    compute_row(p, static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]), d,
-                dx, dy, dz);
+    compute_row(p, static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]),
+                this->num_targets_, d, dx, dy, dz);
     d[k] = DT_BIG_R<TR>;
   }
 
 private:
-  void compute_row(const ParticleSet<TR>& p, TR x0, TR y0, TR z0, TR* __restrict d,
+  static DTRowView<TR> view(const Matrix<TR>& r)
+  {
+    return {r.row(0), r.row(1), r.row(2), r.row(3)};
+  }
+
+  /// Row i of the committed configuration against targets [0, count),
+  /// into r; the self entry, when inside, is the DT_BIG_R sentinel.
+  void committed_row(const ParticleSet<TR>& p, int i, int count, Matrix<TR>& r) const
+  {
+    ScopedTimer dt_timer(Kernel::DistTable);
+    const auto& rs = p.Rsoa();
+    compute_row(p, rs(0, i), rs(1, i), rs(2, i), count, r.row(0), r.row(1), r.row(2), r.row(3));
+    if (i < count)
+      r(0, i) = DT_BIG_R<TR>;
+  }
+
+  void compute_row(const ParticleSet<TR>& p, TR x0, TR y0, TR z0, int count, TR* __restrict d,
                    TR* __restrict dx, TR* __restrict dy, TR* __restrict dz) const
   {
     min_image_row(this->mik_, p.Rsoa().data(0), p.Rsoa().data(1), p.Rsoa().data(2), x0, y0, z0,
-                  this->num_targets_, d, dx, dy, dz);
+                  count, d, dx, dy, dz);
   }
 
-  DTUpdateMode mode_;
-  Matrix<TR> d_, dx_, dy_, dz_;
+  Matrix<TR> prepared_;         ///< row prepared_k_ (d, dx, dy, dz)
+  mutable Matrix<TR> scratch_;  ///< the on-demand committed row
+  int prepared_k_ = -1;         ///< -1: no row is prepared
   aligned_vector<TR> temp_dx_, temp_dy_, temp_dz_;
 };
 
@@ -232,17 +207,11 @@ public:
     }
   }
 
-  TR dist(int i, int j) const override { return d_(i, j); }
-  TinyVector<TR, 3> displ(int i, int j) const override
-  {
-    return {dx_(i, j), dy_(i, j), dz_(i, j)};
-  }
-
-  DTRowView<TR> row(int i) const override
+  DTRowView<TR> row(const ParticleSet<TR>&, int i) const override
   {
     return {d_.row(i), dx_.row(i), dy_.row(i), dz_.row(i)};
   }
-  const TR* row_distances(int i) const override { return d_.row(i); }
+  const TR* row_distances(const ParticleSet<TR>&, int i) const override { return d_.row(i); }
   DTRowView<TR> temp_row() const override
   {
     return {this->temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data()};
@@ -254,11 +223,9 @@ public:
   }
 
 protected:
-  void fill_row(const ParticleSet<TR>& p, const Pos& rnew, int k, TR* d, TR* dx, TR* dy,
+  void fill_row(const ParticleSet<TR>&, const Pos& rnew, int, TR* d, TR* dx, TR* dy,
                 TR* dz) const override
   {
-    (void)p;
-    (void)k;
     compute_row(static_cast<TR>(rnew[0]), static_cast<TR>(rnew[1]), static_cast<TR>(rnew[2]), d,
                 dx, dy, dz);
   }

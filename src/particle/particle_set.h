@@ -154,8 +154,9 @@ public:
   };
   StructureFactor& structure_factor() { return sk_; }
 
-  /// Refresh all distance tables from the canonical positions
-  /// (measurement state). No layout mirroring happens here.
+  /// Refresh all distance tables from the canonical positions after a
+  /// write outside the move protocol (walker load, measurement state).
+  /// No layout mirroring happens here.
   void update()
   {
     for (auto& dt : tables_)

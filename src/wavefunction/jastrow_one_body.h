@@ -309,7 +309,7 @@ public:
     FullPrecReal logval = 0.0;
     for (int i = 0; i < this->nel_; ++i)
     {
-      const DTRowView<TR> row = dt.row(i);
+      const DTRowView<TR> row = dt.row(p, i);
       const auto sums = row_sums(row.d, row.dx, row.dy, row.dz);
       vat_[i] = sums.u;
       d2vat_[i] = sums.d2;

@@ -10,7 +10,8 @@
 //  * TwoBodyJastrowCurrent (Sec. 7.5): compute-on-the-fly. Only the
 //    per-particle accumulations Uat / dUat / d2Uat (5 N scalars) are
 //    retained; pair rows are recomputed from the SoA distance-table rows
-//    with vectorized functor evaluations whenever needed.
+//    with vectorized functor evaluations whenever needed; only a
+//    from-scratch evaluate_log asks the table for every committed row.
 //
 // Conventions: dr(i,j) = r_j - r_i (matching the distance tables);
 // log psi contribution = -sum_{i<j} u; grad_i log psi =
@@ -338,13 +339,13 @@ public:
 
   double evaluate_log(ParticleSet<TR>& p, std::vector<Grad>& g, std::vector<double>& l) override
   {
-    ScopedTimer timer(Kernel::J2);
     const auto& dt = p.table(this->table_index_);
     const int n = this->nel_;
     FullPrecReal logval = 0.0;
     for (int i = 0; i < n; ++i)
     {
-      const DTRowView<TR> row = dt.row(i);
+      const DTRowView<TR> row = dt.row(p, i); // DistTable time, not J2
+      ScopedTimer timer(Kernel::J2);
       compute_row_vgl(p, row.d, i, cur_u_.data(), cur_dur_.data(), cur_d2u_.data());
       TR usum = 0, d2sum = 0;
       TR gx = 0, gy = 0, gz = 0;
@@ -366,6 +367,7 @@ public:
       duat_.assign(i, TinyVector<TR, 3>{gx, gy, gz});
       logval -= 0.5 * static_cast<double>(usum);
     }
+    ScopedTimer timer(Kernel::J2);
     accumulate_gl(g, l);
     this->log_value_ = logval;
     return logval;
@@ -422,9 +424,9 @@ public:
       ratio_grad(p, k, dummy);
     }
     const int n = this->nel_;
-    // Old pair quantities from the committed row k (fresh: prepare_move
-    // recomputed it under the compute-on-the-fly policy).
-    const DTRowView<TR> orow = dt.row(k);
+    // Old pair quantities from the committed row k: the row prepare_move
+    // filled from the current positions, served without recomputing.
+    const DTRowView<TR> orow = dt.row(p, k);
     const DTRowView<TR> trow = dt.temp_row();
     compute_row_vgl(p, orow.d, k, old_u_.data(), old_dur_.data(), old_d2u_.data());
 

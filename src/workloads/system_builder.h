@@ -48,7 +48,6 @@ struct BuildOptions
   bool soa_layout = true;
   bool with_hamiltonian = true;
   std::uint64_t seed = 20170708;
-  DTUpdateMode dt_mode = DTUpdateMode::OnTheFly; ///< SoA AA policy
   /// Delayed (Woodbury) determinant updates (Sec. 8.4): accepted rows
   /// bind into a rank-`delay_rank` window applied as BLAS3 gemms.
   /// 1 selects the plain rank-1 Sherman-Morrison DiracDeterminant (the
@@ -92,7 +91,7 @@ QMCSystem<TR> build_system(const SystemSpec& spec, const BuildOptions& opt)
     if (opt.soa_layout)
     {
       sys.table_ee = sys.elec->add_table(
-          std::make_unique<SoaDistanceTableAA<TR>>(spec.lattice, n, opt.dt_mode));
+          std::make_unique<SoaDistanceTableAA<TR>>(spec.lattice, n));
       sys.table_ei = sys.elec->add_table(
           std::make_unique<SoaDistanceTableAB<TR>>(spec.lattice, *sys.ions, n));
     }

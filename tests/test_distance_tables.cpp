@@ -1,20 +1,23 @@
 // Unit + property tests for the distance tables: AoS packed-triangle vs
-// SoA full-row layouts, forward-update vs compute-on-the-fly policies,
-// the PbyP move protocol (paper Fig. 6), and the layout-parity
-// guarantees: Reference (AoS) and canonical (SoA) tables serve
-// bitwise-identical rows through the unified DTRowView interface, and
-// whole VMC/DMC chains are bitwise-identical across layout modes. The
-// vectorized row kernels are pinned bitwise to their nearbyint-based
-// originals, and virtual (NLPP fan) rows to the move protocol's temp row.
+// SoA layouts (stored N x M rows for AB, O(N) computed rows for AA), the
+// PbyP move protocol (paper Fig. 6), and the layout-parity guarantees:
+// Reference (AoS) and canonical (SoA) tables serve bitwise-identical
+// rows through the unified DTRowView interface. The vectorized row
+// kernels are pinned bitwise to their nearbyint-based originals, and
+// virtual (NLPP fan) rows to the move protocol's temp row.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "drivers/qmc_driver_impl.h"
+#include "estimators/pair_correlation.h"
+#include "hamiltonian/coulomb.h"
+#include "instrument/memory_tracker.h"
 #include "workloads/system_builder.h"
 #include "workloads/workloads.h"
 
@@ -33,15 +36,9 @@ double exact_dist(const Lattice& lat, const TinyVector<double, 3>& a,
   return norm(lat.min_image(b - a));
 }
 
-struct TableCase
-{
-  bool soa;
-  DTUpdateMode mode; // only meaningful for soa
-};
-
 } // namespace
 
-class DistanceTableAA : public ::testing::TestWithParam<TableCase>
+class DistanceTableAA : public ::testing::TestWithParam<bool> // soa?
 {
 protected:
   static constexpr int kN = 24;
@@ -49,10 +46,8 @@ protected:
   std::unique_ptr<ParticleSet<double>> make_system(int& table_idx)
   {
     auto p = make_electrons<double>(kN / 2, kN / 2, 6.0);
-    const auto& param = GetParam();
-    if (param.soa)
-      table_idx = p->add_table(
-          std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), kN, param.mode));
+    if (GetParam())
+      table_idx = p->add_table(std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), kN));
     else
       table_idx = p->add_table(std::make_unique<AosDistanceTableAA<double>>(p->lattice(), kN));
     p->update();
@@ -66,13 +61,16 @@ TEST_P(DistanceTableAA, EvaluateMatchesExactDistances)
   auto p = make_system(ti);
   auto& dt = p->table(ti);
   for (int i = 0; i < kN; ++i)
+  {
+    const DTRowView<double> row = dt.row(*p, i);
     for (int j = 0; j < kN; ++j)
     {
       if (i == j)
         continue;
-      EXPECT_NEAR(dt.dist(i, j), exact_dist(p->lattice(), p->pos(i), p->pos(j)), 1e-12)
+      EXPECT_NEAR(row.d[j], exact_dist(p->lattice(), p->pos(i), p->pos(j)), 1e-12)
           << i << "," << j;
     }
+  }
 }
 
 TEST_P(DistanceTableAA, DisplacementConventionIsTowardsSource)
@@ -80,18 +78,21 @@ TEST_P(DistanceTableAA, DisplacementConventionIsTowardsSource)
   int ti;
   auto p = make_system(ti);
   auto& dt = p->table(ti);
-  // displ(i,j) = min_image(r_j - r_i); norm must equal dist.
+  // dr(i,j) = min_image(r_j - r_i); norm must equal the distance.
   for (int i = 0; i < kN; i += 5)
+  {
+    const DTRowView<double> row = dt.row(*p, i);
     for (int j = 0; j < kN; j += 3)
     {
       if (i == j)
         continue;
-      const auto d = dt.displ(i, j);
+      const TinyVector<double, 3> d{row.dx[j], row.dy[j], row.dz[j]};
       const auto expect = p->lattice().min_image(p->pos(j) - p->pos(i));
       for (unsigned dd = 0; dd < 3; ++dd)
         EXPECT_NEAR(d[dd], expect[dd], 1e-12);
-      EXPECT_NEAR(norm(d), dt.dist(i, j), 1e-12);
+      EXPECT_NEAR(norm(d), row.d[j], 1e-12);
     }
+  }
 }
 
 TEST_P(DistanceTableAA, MoveFillsTempRow)
@@ -132,67 +133,37 @@ TEST_P(DistanceTableAA, SweepWithAcceptsKeepsRowsConsistent)
     else
       p->reject_move(k);
 
-    // After each accept, the data future moves will read (rows k' > k at
-    // prepare time, or the forward-updated column) must be consistent:
-    // verify by preparing the next particle and checking its row.
+    // After each accept, the row the next move reads must be
+    // consistent: verify by preparing the next particle and checking it.
     if (k + 1 < kN)
     {
       p->prepare_move(k + 1);
-      const auto& base = p->table(ti);
+      const DTRowView<double> row = p->table(ti).row(*p, k + 1);
       for (int j = 0; j < kN; ++j)
       {
         if (j == k + 1)
           continue;
-        const auto& param = GetParam();
         const double expect = exact_dist(p->lattice(), p->pos(k + 1), p->pos(j));
-        if (param.soa)
-        {
-          EXPECT_NEAR(base.row_distances(k + 1)[j], expect, 1e-12) << "k=" << k << " j=" << j;
-        }
-        else
-        {
-          EXPECT_NEAR(base.dist(k + 1, j), expect, 1e-12) << "k=" << k << " j=" << j;
-        }
+        EXPECT_NEAR(row.d[j], expect, 1e-12) << "k=" << k << " j=" << j;
       }
     }
   }
   (void)dt;
-  // Full refresh at measurement reproduces exact distances everywhere.
+  // Measurement-time rows reproduce exact distances everywhere.
   p->update();
   for (int i = 0; i < kN; ++i)
+  {
+    const DTRowView<double> row = p->table(ti).row(*p, i);
     for (int j = i + 1; j < kN; ++j)
-      EXPECT_NEAR(p->table(ti).dist(i, j), exact_dist(p->lattice(), p->pos(i), p->pos(j)), 1e-12);
+      EXPECT_NEAR(row.d[j], exact_dist(p->lattice(), p->pos(i), p->pos(j)), 1e-12);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Layouts, DistanceTableAA,
-                         ::testing::Values(TableCase{false, DTUpdateMode::OnTheFly},
-                                           TableCase{true, DTUpdateMode::ForwardUpdate},
-                                           TableCase{true, DTUpdateMode::OnTheFly}),
-                         [](const ::testing::TestParamInfo<TableCase>& pinfo) {
-                           if (!pinfo.param.soa)
-                             return std::string("AosPackedTriangle");
-                           return pinfo.param.mode == DTUpdateMode::ForwardUpdate
-                               ? std::string("SoaForwardUpdate")
-                               : std::string("SoaOnTheFly");
+INSTANTIATE_TEST_SUITE_P(Layouts, DistanceTableAA, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& pinfo) {
+                           return pinfo.param ? std::string("SoaOnTheFly")
+                                              : std::string("AosPackedTriangle");
                          });
-
-TEST(DistanceTableAASoA, ForwardUpdateMaintainsColumnBelowK)
-{
-  const int n = 16;
-  auto p = make_electrons<double>(n / 2, n / 2, 5.0);
-  const int ti = p->add_table(
-      std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), n, DTUpdateMode::ForwardUpdate));
-  p->update();
-  auto& dt = p->template table_as<SoaDistanceTableAA<double>>(ti);
-  const int k = 3;
-  const TinyVector<double, 3> rnew = p->pos(k) + TinyVector<double, 3>{0.7, 0.1, -0.4};
-  p->make_move(k, rnew);
-  p->accept_move(k);
-  // Rows i > k must see the new distance at column k without refresh.
-  for (int i = k + 1; i < n; ++i)
-    EXPECT_NEAR(dt.row_distances(i)[k], exact_dist(p->lattice(), p->pos(i), p->pos(k)), 1e-12)
-        << i;
-}
 
 TEST(DistanceTableAASoA, SelfDistanceIsSentinel)
 {
@@ -202,7 +173,41 @@ TEST(DistanceTableAASoA, SelfDistanceIsSentinel)
   p->update();
   auto& dt = p->table(ti);
   for (int i = 0; i < n; ++i)
-    EXPECT_GT(dt.dist(i, i), 1e9);
+    EXPECT_GT(dt.row(*p, i).d[i], 1e9);
+}
+
+namespace
+{
+
+/// storage_bytes() of an n-electron SoA AA table, and the bytes its
+/// construction allocates.
+template<typename TR>
+std::pair<std::size_t, std::size_t> aa_table_bytes(const Lattice& lat, int n)
+{
+  const std::size_t m0 = MemoryTracker::instance().current();
+  const SoaDistanceTableAA<TR> dt(lat, n);
+  return {dt.storage_bytes(), MemoryTracker::instance().current() - m0};
+}
+
+} // namespace
+
+TEST(DistanceTableAASoA, StorageIsLinearInN)
+{
+  // Three padded rows of d, dx, dy, dz: doubling N at most doubles the
+  // bytes, plus one alignment block, in what the table reports and in
+  // what it allocates.
+  const Lattice lat = Lattice::cubic(6.0);
+  for (int n : {5, 16, 24, 100, 384, 768})
+  {
+    for (const auto& [one, two] :
+         {std::pair{aa_table_bytes<double>(lat, n), aa_table_bytes<double>(lat, 2 * n)},
+          std::pair{aa_table_bytes<float>(lat, n), aa_table_bytes<float>(lat, 2 * n)}})
+    {
+      EXPECT_LE(two.first, 2 * one.first + QMC_SIMD_ALIGNMENT) << "n=" << n;
+      EXPECT_LE(two.second, 2 * one.second + QMC_SIMD_ALIGNMENT) << "n=" << n;
+      EXPECT_GE(one.second, one.first) << "n=" << n;
+    }
+  }
 }
 
 TEST(DistanceTableAASoA, PaddedTailIsHarmless)
@@ -212,10 +217,11 @@ TEST(DistanceTableAASoA, PaddedTailIsHarmless)
   auto p = make_electrons<double>(2, 3, 5.0);
   const int ti = p->add_table(std::make_unique<SoaDistanceTableAA<double>>(p->lattice(), n));
   p->update();
-  auto& dt = p->template table_as<SoaDistanceTableAA<double>>(ti);
-  EXPECT_GT(dt.row_stride(), static_cast<std::size_t>(n));
-  for (std::size_t j = n; j < dt.row_stride(); ++j)
-    EXPECT_EQ(dt.row_distances(0)[j], 0.0);
+  const std::size_t stride = getAlignedSize<double>(n);
+  EXPECT_GT(stride, static_cast<std::size_t>(n));
+  const DTRowView<double> row = p->table(ti).row(*p, 0);
+  for (std::size_t j = n; j < stride; ++j)
+    EXPECT_EQ(row.d[j], 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -250,8 +256,11 @@ TEST_P(DistanceTableAB, EvaluateMatchesExact)
   build();
   auto& dt = elec_->table(ti_);
   for (int i = 0; i < kNel; ++i)
+  {
+    const DTRowView<double> row = dt.row(*elec_, i);
     for (int j = 0; j < kNion; ++j)
-      EXPECT_NEAR(dt.dist(i, j), exact_dist(elec_->lattice(), elec_->pos(i), ions_->pos(j)), 1e-12);
+      EXPECT_NEAR(row.d[j], exact_dist(elec_->lattice(), elec_->pos(i), ions_->pos(j)), 1e-12);
+  }
 }
 
 TEST_P(DistanceTableAB, MoveAndUpdateCommitRow)
@@ -266,10 +275,11 @@ TEST_P(DistanceTableAB, MoveAndUpdateCommitRow)
     EXPECT_NEAR(dt.temp_r()[j], exact_dist(elec_->lattice(), rnew, ions_->pos(j)), 1e-12);
   elec_->accept_move(k);
   for (int j = 0; j < kNion; ++j)
-    EXPECT_NEAR(dt.dist(k, j), exact_dist(elec_->lattice(), rnew, ions_->pos(j)), 1e-12);
+    EXPECT_NEAR(dt.row(*elec_, k).d[j], exact_dist(elec_->lattice(), rnew, ions_->pos(j)), 1e-12);
   // Other rows untouched.
   for (int j = 0; j < kNion; ++j)
-    EXPECT_NEAR(dt.dist(0, j), exact_dist(elec_->lattice(), elec_->pos(0), ions_->pos(j)), 1e-12);
+    EXPECT_NEAR(dt.row(*elec_, 0).d[j],
+                exact_dist(elec_->lattice(), elec_->pos(0), ions_->pos(j)), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, DistanceTableAB, ::testing::Values(false, true),
@@ -287,12 +297,16 @@ TEST(DistanceTableMixedPrecision, FloatTablesTrackDouble)
   pd->update();
   pf->update();
   for (int i = 0; i < n; ++i)
+  {
+    const DTRowView<double> rd = pd->table(td).row(*pd, i);
+    const DTRowView<float> rf = pf->table(tf).row(*pf, i);
     for (int j = 0; j < n; ++j)
     {
       if (i == j)
         continue;
-      EXPECT_NEAR(pd->table(td).dist(i, j), static_cast<double>(pf->table(tf).dist(i, j)), 2e-6);
+      EXPECT_NEAR(rd.d[j], static_cast<double>(rf.d[j]), 2e-6);
     }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +354,7 @@ TEST(LayoutParity, HexagonalAARowsBitwiseIdentical)
   const int ts = p.add_table(std::make_unique<SoaDistanceTableAA<double>>(lat, n));
   p.update();
   for (int i = 0; i < n; ++i)
-    expect_rows_identical(p.table(ta).row(i), p.table(ts).row(i), n, i, "evaluate row");
+    expect_rows_identical(p.table(ta).row(p, i), p.table(ts).row(p, i), n, i, "evaluate row");
 
   // Drive both tables through a PbyP sweep with accepts: temp rows and
   // committed rows must stay bitwise-identical under both update
@@ -349,8 +363,8 @@ TEST(LayoutParity, HexagonalAARowsBitwiseIdentical)
   {
     p.prepare_move(k);
     // Row k is the data the PbyP consumers read at this point: fresh in
-    // both layouts (on-the-fly recompute vs always-fresh triangle).
-    expect_rows_identical(p.table(ta).row(k), p.table(ts).row(k), n, k, "prepared row");
+    // both layouts (the prepared row vs the always-fresh triangle).
+    expect_rows_identical(p.table(ta).row(p, k), p.table(ts).row(p, k), n, k, "prepared row");
     const TinyVector<double, 3> rnew =
         p.pos(k) + TinyVector<double, 3>{rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4),
                                          rng.uniform(-0.4, 0.4)};
@@ -360,12 +374,13 @@ TEST(LayoutParity, HexagonalAARowsBitwiseIdentical)
       p.accept_move(k);
     else
       p.reject_move(k);
+    expect_rows_identical(p.table(ta).row(p, k), p.table(ts).row(p, k), n, k, "committed row");
   }
-  // Measurement-time refresh: every committed row identical again (the
-  // OnTheFly table deliberately leaves non-active rows stale mid-sweep).
+  // Measurement-time rows: every committed row identical (the SoA table
+  // computes them from the positions the triangle was updated to).
   p.update();
   for (int i = 0; i < n; ++i)
-    expect_rows_identical(p.table(ta).row(i), p.table(ts).row(i), n, i, "post-sweep row");
+    expect_rows_identical(p.table(ta).row(p, i), p.table(ts).row(p, i), n, i, "post-sweep row");
 }
 
 TEST(LayoutParity, HexagonalABRowsBitwiseIdentical)
@@ -387,7 +402,8 @@ TEST(LayoutParity, HexagonalABRowsBitwiseIdentical)
   const int ts = elec.add_table(std::make_unique<SoaDistanceTableAB<double>>(lat, ions, nel));
   elec.update();
   for (int i = 0; i < nel; ++i)
-    expect_rows_identical(elec.table(ta).row(i), elec.table(ts).row(i), nion, -1, "evaluate row");
+    expect_rows_identical(elec.table(ta).row(elec, i), elec.table(ts).row(elec, i), nion, -1,
+                          "evaluate row");
 
   for (int k = 0; k < nel; ++k)
   {
@@ -404,32 +420,90 @@ TEST(LayoutParity, HexagonalABRowsBitwiseIdentical)
       elec.reject_move(k);
   }
   for (int i = 0; i < nel; ++i)
-    expect_rows_identical(elec.table(ta).row(i), elec.table(ts).row(i), nion, -1,
+    expect_rows_identical(elec.table(ta).row(elec, i), elec.table(ts).row(elec, i), nion, -1,
                           "post-sweep row");
 }
 
 namespace
 {
 
-RunResult run_graphite(DTUpdateMode mode, bool dmc, int steps, int walkers)
+/// CoulombEE and g(r) from an SoA and an AoS electron set with the same
+/// positions, after a PbyP sweep with accepts and rejects and the
+/// update() the driver makes before measuring: the SoA table computes
+/// each row from the positions, the AoS table gathers it from the
+/// triangle its updates maintained, and the measurements agree bitwise.
+template<typename TR>
+void check_measurements_match_aos(const Lattice& lat, const std::string& what)
 {
-  BuildOptions opt;
-  opt.dt_mode = mode;
-  return build_and_run<double>(workload_spec(Workload::Graphite),
-                               short_chain_config(20170708, steps, walkers), dmc, opt);
+  const int n = 32;
+  ParticleSet<TR> soa("e", lat), aos("e", lat);
+  for (ParticleSet<TR>* p : {&soa, &aos})
+  {
+    p->add_species("u", -1.0);
+    p->add_species("d", -1.0);
+    p->create({n / 2, n / 2});
+  }
+  RandomGenerator rng(47);
+  randomize_positions(soa, rng);
+  aos.set_positions(soa.positions());
+  const int ts = soa.add_table(std::make_unique<SoaDistanceTableAA<TR>>(lat, n));
+  const int ta = aos.add_table(std::make_unique<AosDistanceTableAA<TR>>(lat, n));
+  soa.update();
+  aos.update();
+  for (int k = 0; k < n; ++k)
+  {
+    soa.prepare_move(k);
+    aos.prepare_move(k);
+    const TinyVector<double, 3> rnew =
+        soa.pos(k) + TinyVector<double, 3>{rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
+                                           rng.uniform(-0.6, 0.6)};
+    soa.make_move(k, rnew);
+    aos.make_move(k, rnew);
+    if (k % 3 != 2) // the last move is accepted
+    {
+      soa.accept_move(k);
+      aos.accept_move(k);
+    }
+    else
+    {
+      soa.reject_move(k);
+      aos.reject_move(k);
+    }
+  }
+  soa.update();
+  aos.update();
+  const std::size_t pos_bytes = 3 * soa.Rsoa().capacity() * sizeof(TR);
+  ASSERT_EQ(std::memcmp(soa.Rsoa().data(0), aos.Rsoa().data(0), pos_bytes), 0) << what;
+
+  TrialWaveFunction<TR> twf(n);
+  CoulombEE<TR> ee_soa(lat, ts), ee_aos(lat, ta);
+  const FullPrecReal e_soa = ee_soa.evaluate(soa, twf);
+  const FullPrecReal e_aos = ee_aos.evaluate(aos, twf);
+  EXPECT_EQ(std::memcmp(&e_soa, &e_aos, sizeof(FullPrecReal)), 0)
+      << what << ": " << e_soa << " vs " << e_aos;
+
+  const int nbins = 24;
+  const FullPrecReal rmax = lat.wigner_seitz_radius();
+  PairCorrelationEstimator<TR> gr_soa(lat, ts, n, nbins, rmax), gr_aos(lat, ta, n, nbins, rmax);
+  std::vector<FullPrecReal> b_soa(nbins), b_aos(nbins);
+  gr_soa.evaluate(soa, b_soa.data());
+  gr_aos.evaluate(aos, b_aos.data());
+  EXPECT_EQ(std::memcmp(b_soa.data(), b_aos.data(), nbins * sizeof(FullPrecReal)), 0) << what;
+  EXPECT_GT(std::accumulate(b_soa.begin(), b_soa.end(), 0.0), 0.0) << what << ": no pair binned";
 }
 
 } // namespace
 
-TEST(DTUpdateModeParity, ForwardUpdateAndOnTheFlyChainsIdentical)
+TEST(LayoutParity, MeasurementsFromComputedRowsMatchAosBitwise)
 {
-  // Multi-block DMC with branching: the ForwardUpdate column refresh and
-  // the OnTheFly prepare-time row recompute must expose identical
-  // committed data to every consumer (paper Sec. 7.5 equivalence).
-  const RunResult fu = run_graphite(DTUpdateMode::ForwardUpdate, /*dmc=*/true, /*steps=*/4,
-                                    /*walkers=*/3);
-  const RunResult otf = run_graphite(DTUpdateMode::OnTheFly, /*dmc=*/true, 4, 3);
-  expect_chains_bitwise(fu, otf);
+  const Lattice graphite = workload_spec(Workload::Graphite).lattice;
+  const Lattice nio = workload_spec(Workload::NiO32).lattice;
+  ASSERT_FALSE(graphite.orthorhombic());
+  ASSERT_TRUE(nio.orthorhombic());
+  check_measurements_match_aos<float>(graphite, "Graphite float");
+  check_measurements_match_aos<double>(graphite, "Graphite double");
+  check_measurements_match_aos<float>(nio, "NiO float");
+  check_measurements_match_aos<double>(nio, "NiO double");
 }
 
 TEST(DistanceTableSkewedCell, SoaFallbackMatchesAos)
@@ -447,12 +521,16 @@ TEST(DistanceTableSkewedCell, SoaFallbackMatchesAos)
   const int ts = p.add_table(std::make_unique<SoaDistanceTableAA<double>>(lat, n));
   p.update();
   for (int i = 0; i < n; ++i)
+  {
+    const DTRowView<double> ra = p.table(ta).row(p, i);
+    const DTRowView<double> rs = p.table(ts).row(p, i);
     for (int j = 0; j < n; ++j)
     {
       if (i == j)
         continue;
-      EXPECT_NEAR(p.table(ta).dist(i, j), p.table(ts).dist(i, j), 1e-12);
+      EXPECT_NEAR(ra.d[j], rs.d[j], 1e-12);
     }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -688,7 +766,8 @@ TEST(VirtualMoves, RowsMatchTempRowOfEachMove)
     {
       const auto& dt = p.table(t);
       temp_before.emplace_back(dt.temp_r(), dt.temp_r() + dt.num_sources());
-      row_before.emplace_back(dt.row_distances(2), dt.row_distances(2) + dt.num_sources());
+      const float* d = dt.row(p, 2).d;
+      row_before.emplace_back(d, d + dt.num_sources());
     }
     p.make_virtual_moves(k, vpos.data(), static_cast<int>(vpos.size()));
     for (int t = 0; t < p.num_tables(); ++t)
@@ -696,7 +775,7 @@ TEST(VirtualMoves, RowsMatchTempRowOfEachMove)
       const auto& dt = p.table(t);
       const std::size_t bytes = dt.num_sources() * sizeof(float);
       EXPECT_EQ(std::memcmp(dt.temp_r(), temp_before[t].data(), bytes), 0) << "table " << t;
-      EXPECT_EQ(std::memcmp(dt.row_distances(2), row_before[t].data(), bytes), 0) << "table " << t;
+      EXPECT_EQ(std::memcmp(dt.row(p, 2).d, row_before[t].data(), bytes), 0) << "table " << t;
     }
     std::vector<std::vector<float>> virt(p.num_tables() * vpos.size());
     for (int t = 0; t < p.num_tables(); ++t)

@@ -47,7 +47,7 @@ TestConfig make_config(const Lattice& lattice, const std::vector<Pos>& positions
   const int n = static_cast<int>(positions.size());
   cfg.elec->create({n});
   cfg.table_ee = cfg.elec->add_table(
-      std::make_unique<SoaDistanceTableAA<double>>(lattice, n, DTUpdateMode::OnTheFly));
+      std::make_unique<SoaDistanceTableAA<double>>(lattice, n));
   cfg.elec->set_positions(positions);
   cfg.elec->update();
   return cfg;

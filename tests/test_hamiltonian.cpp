@@ -227,14 +227,13 @@ template<typename TR>
 std::vector<Pos> nlpp_fan(const QMCSystem<TR>& sys, const SystemSpec& spec, int i, int a,
                           const SphericalQuadrature& quad)
 {
-  const auto& dt = sys.elec->table(sys.table_ei);
+  const DTRowView<TR> row = sys.elec->table(sys.table_ei).row(*sys.elec, i);
   const auto& sp = spec.species[sys.ions->group_id(a)];
-  const FullPrecReal r = static_cast<double>(dt.dist(i, a));
+  const FullPrecReal r = static_cast<double>(row.d[a]);
   if (sp.nl_amplitude == 0.0 || r >= sp.nl_rcut)
     return {};
-  const auto d = dt.displ(i, a);
-  const Pos to_ion{static_cast<double>(d[0]), static_cast<double>(d[1]),
-                   static_cast<double>(d[2])};
+  const Pos to_ion{static_cast<double>(row.dx[a]), static_cast<double>(row.dy[a]),
+                   static_cast<double>(row.dz[a])};
   std::vector<Pos> fan;
   for (const Pos& n : quad.points)
     fan.push_back(sys.elec->pos(i) + to_ion + r * n);

@@ -281,6 +281,36 @@ TEST(TwoBodyJastrow, SweepWithAcceptsKeepsStateConsistentBothImpls)
   }
 }
 
+TEST(TwoBodyJastrow, AcceptReusesPreparedRowWithoutDistTableWork)
+{
+  // accept_move reads the old row k as prepare_move left it in the
+  // table: committing a move computes no distance row.
+  auto s = make_j2_system();
+  std::vector<TinyVector<double, 3>> g(kN);
+  std::vector<double> l(kN);
+  s.j_cur->evaluate_log(*s.p_cur, g, l);
+  auto& timers = TimerRegistry::instance();
+  const bool was_enabled = timers.enabled();
+  timers.set_enabled(true);
+  constexpr int kDist = static_cast<int>(Kernel::DistTable);
+  constexpr int kJ2 = static_cast<int>(Kernel::J2);
+  for (int k = 0; k < kN; k += 3)
+  {
+    s.p_cur->prepare_move(k);
+    s.p_cur->make_move(k, s.p_cur->pos(k) + TinyVector<double, 3>{0.2, -0.1, 0.15});
+    TinyVector<double, 3> gr{};
+    s.j_cur->ratio_grad(*s.p_cur, k, gr);
+    const KernelTotals before = timers.snapshot();
+    s.j_cur->accept_move(*s.p_cur, k);
+    const KernelTotals after = timers.snapshot();
+    EXPECT_EQ(after.calls[kDist], before.calls[kDist]) << "k=" << k;
+    EXPECT_EQ(after.calls[kJ2], before.calls[kJ2] + 1) << "k=" << k; // the timers are live
+    s.p_cur->accept_move(k);
+  }
+  timers.set_enabled(was_enabled);
+  EXPECT_NEAR(s.j_cur->log_value(), brute_log_j2(*s.p_cur, *s.j_cur), 1e-8);
+}
+
 TEST(TwoBodyJastrow, BufferRoundTripRestoresState)
 {
   auto s = make_j2_system();

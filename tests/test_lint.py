@@ -289,7 +289,7 @@ class TestFloatAccumulatorInEstimator(LintFixtureCase):
             "template<typename TR>\n"
             "struct E {\n"
             "  void evaluate(const P<TR>& p, FullPrecReal* out) const {\n"
-            "    const TR* d = p.table(0).row_distances(1);\n"
+            "    const TR* d = p.table(0).row_distances(p, 1);\n"
             "    FullPrecReal acc = 0;\n"
             "    acc += static_cast<FullPrecReal>(d[0]);\n"
             "  }\n"

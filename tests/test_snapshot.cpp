@@ -469,6 +469,42 @@ TEST(DriverSnapshot, FailedRestoreLeavesDriverUntouched)
   EXPECT_EQ(r.generations.size(), 2u);
 }
 
+TEST(DriverSnapshot, RejectsWalkerBufferOfWrongSize)
+{
+  // A CRC-valid file whose fingerprint is 0 (the DriverConfig default)
+  // passes validate_compatible whatever its buffers hold; a buffer that
+  // is not the registered layout must be refused before the population
+  // changes, not streamed out of or into bounds in the first generation.
+  BuildOptions opt;
+  auto sys = build_system<double>(tiny_spec(), opt);
+  const DriverConfig cfg = short_chain_config(kSeed, 2, 2);
+  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, cfg);
+  driver.initialize_population();
+  const io::PopulationSnapshot before = driver.capture_snapshot(0, io::ChainKind::VMC);
+  ASSERT_EQ(before.walkers.size(), 2u);
+  const std::size_t bytes = before.walkers[0].buffer.size();
+  ASSERT_GT(bytes, 8u);
+
+  io::PopulationSnapshot shrunk = before;
+  shrunk.walkers[0].buffer.resize(bytes - 8);
+  const std::string path = tmp_path("qmcxx_short_buffer.snap");
+  io::write_snapshot_file(path, shrunk);
+  const io::PopulationSnapshot from_file = io::read_snapshot_file(path);
+  std::filesystem::remove(path);
+  expect_throw_with([&] { driver.restore_snapshot(from_file); },
+                    "walker 0 has a " + std::to_string(bytes - 8) + "-byte buffer");
+
+  io::PopulationSnapshot grown = before;
+  grown.walkers[1].buffer.resize(bytes + 8, 0);
+  expect_throw_with([&] { driver.restore_snapshot(grown); },
+                    "walker 1 has a " + std::to_string(bytes + 8) +
+                        "-byte buffer; the wavefunction registers " + std::to_string(bytes));
+
+  expect_snapshots_identical(before, driver.capture_snapshot(0, io::ChainKind::VMC));
+  const RunResult r = driver.run_vmc();
+  EXPECT_EQ(r.generations.size(), 2u);
+}
+
 TEST(DriverSnapshot, RejectsChainKindMismatch)
 {
   BuildOptions opt;

@@ -71,16 +71,14 @@ int main(int argc, char** argv)
   const EngineReport cur = bench::run(Workload::NiO64, EngineVariant::Current);
   const double t_ref = 1.0 / ref.result.throughput; // s per walker-step
   const double t_cur = 1.0 / cur.result.throughput;
-  // walker_bytes is measured on the set-up population, before branching.
-  const int setup_walkers = bench::default_config(Workload::NiO64).num_walkers;
-  const std::size_t wb_ref = ref.walker_bytes / setup_walkers;
-  const std::size_t wb_cur = cur.walker_bytes / setup_walkers;
-
+  // The per-walker state (the registered buffer layout) is what a walker
+  // message ships besides its positions; the set-up population is
+  // resident in the crowd slots and holds positions only.
   std::printf("host measurements (NiO-64):\n");
-  std::printf("  Ref:     %.4f s/walker-step, walker message %s\n", t_ref,
-              format_bytes(wb_ref).c_str());
-  std::printf("  Current: %.4f s/walker-step, walker message %s\n", t_cur,
-              format_bytes(wb_cur).c_str());
+  std::printf("  Ref:     %.4f s/walker-step, walker state %s, set-up population %s\n", t_ref,
+              format_bytes(ref.walker_state_bytes).c_str(), format_bytes(ref.walker_bytes).c_str());
+  std::printf("  Current: %.4f s/walker-step, walker state %s, set-up population %s\n", t_cur,
+              format_bytes(cur.walker_state_bytes).c_str(), format_bytes(cur.walker_bytes).c_str());
   std::printf("  on-node speedup: %.2fx (paper: 2-4.5x)\n", t_ref / t_cur);
 
   if (real_threads)

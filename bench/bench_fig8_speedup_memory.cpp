@@ -28,15 +28,16 @@ int main()
 
     std::printf("\n%s (normalized to Ref):\n", workload_spec(w).name.c_str());
     std::vector<std::vector<std::string>> rows;
-    rows.push_back({"config", "throughput", "speedup", "footprint", "peak", "walker-buffers",
-                    "dist-tables", "spline"});
+    rows.push_back({"config", "throughput", "speedup", "footprint", "peak", "population",
+                    "state/walker", "dist-tables", "spline"});
     for (int c = 0; c < 3; ++c)
     {
       const auto& r = reports[c];
       rows.push_back({to_string(variants[c]), fmt(r.result.throughput, 2) + "/s",
                       fmt(r.result.throughput / base, 2) + "x",
                       format_bytes(r.footprint_bytes), format_bytes(r.peak_bytes),
-                      format_bytes(r.walker_bytes), format_bytes(r.dist_table_bytes),
+                      format_bytes(r.walker_bytes), format_bytes(r.walker_state_bytes),
+                      format_bytes(r.dist_table_bytes),
                       format_bytes(r.spline_bytes)});
     }
     print_table(rows);

@@ -23,6 +23,16 @@ namespace qmcxx
 class PooledBuffer
 {
 public:
+  /// A buffer that only measures a registration pass: reserve() grows
+  /// size() and allocates nothing, so sizing the per-walker state moves
+  /// no heap memory. It holds no bytes and cannot be streamed.
+  static PooledBuffer layout_only()
+  {
+    PooledBuffer b;
+    b.layout_only_ = true;
+    return b;
+  }
+
   /// Registration pass: reserve space for n values of T, returning the
   /// byte offset (components usually ignore it and rely on ordering).
   template<typename T>
@@ -30,8 +40,11 @@ public:
   {
     static_assert(std::is_trivially_copyable_v<T>,
                   "PooledBuffer streams raw bytes; T must be trivially copyable");
-    const std::size_t offset = align(data_.size(), alignof(T));
-    data_.resize(offset + n * sizeof(T));
+    const std::size_t offset = align(size(), alignof(T));
+    if (layout_only_)
+      layout_size_ = offset + n * sizeof(T);
+    else
+      data_.resize(offset + n * sizeof(T));
     return offset;
   }
 
@@ -74,7 +87,7 @@ public:
     get(&v, 1);
   }
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
+  [[nodiscard]] std::size_t size() const { return layout_only_ ? layout_size_ : data_.size(); }
   /// Bytes actually held by the backing store (>= size()); the honest
   /// number for per-walker memory budgeting (Walker::byte_size).
   [[nodiscard]] std::size_t capacity() const { return data_.capacity(); }
@@ -107,6 +120,8 @@ private:
 
   aligned_vector<char> data_;
   std::size_t cursor_ = 0;
+  bool layout_only_ = false;
+  std::size_t layout_size_ = 0; ///< size() of a layout-only buffer
 };
 
 } // namespace qmcxx

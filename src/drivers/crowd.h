@@ -10,12 +10,17 @@
 // accept/reject commits the whole crowd before moving to electron k+1.
 //
 // Walker state moves through the crowd with an acquire/release
-// handshake: acquire() loads a population slice into the slots (buffers
-// are read once), the whole sweep runs against slot-resident state, and
-// release() streams the final state back into the walkers (buffers are
-// written once). The crowd is the drivers' only unit of staging (a
-// crowd of one included), and the seam where device-resident crowds
-// (GPU offload, async population sharding) attach later.
+// handshake. A parked slice is loaded by acquire() (positions in,
+// tables rebuilt, wavefunction state read from the walker buffers) and
+// written back by release() (buffers written once per sweep). A
+// resident slice -- the one this crowd held last generation, or built
+// in place -- skips all of that: its slots already hold the state, so
+// acquire() only binds the walkers and release() writes back positions
+// and log psi alone, dropping any buffer the walker still carries. The
+// driver decides which applies (qmc_drivers.h). The crowd is the
+// drivers' only unit of staging (a crowd of one included), and the
+// seam where device-resident crowds (GPU offload, async population
+// sharding) attach later.
 //
 // Threading contract (crowd-per-thread execution): crowds of one
 // generation run concurrently, so everything a crowd touches during a
@@ -27,6 +32,9 @@
 // across crowds is immutable after setup: the B-spline orbital tables
 // behind the cloned SPOSets, lattice/species data, and the driver
 // config. Never share mw scratch or a walker/RNG slot across crowds.
+// A crowd is not bound to a thread: a resident crowd is swept by
+// whichever thread claims its task, and the generation barrier orders
+// one generation's sweep before the next.
 #ifndef QMCXX_DRIVERS_CROWD_H
 #define QMCXX_DRIVERS_CROWD_H
 
@@ -92,11 +100,14 @@ public:
   const RefVector<TrialWaveFunction<TR>>& twf_refs() const { return twf_refs_; }
   const RefVector<Hamiltonian<TR>>& ham_refs() const { return ham_refs_; }
 
-  /// Stage a population slice into the slots: positions in, tables
-  /// refreshed, wavefunction state restored from the walker buffers (or
-  /// rebuilt from scratch on recompute generations, the mixed-precision
-  /// repair of Sec. 7.2).
-  void acquire(std::unique_ptr<Walker>* walkers, RandomGenerator* rngs, int n, bool recompute)
+  /// Bind a population slice to the slots and make their state current:
+  /// a parked slice is loaded (positions in, tables refreshed,
+  /// wavefunction state read from the walker buffers); a `resident`
+  /// slice is already in the slots. Recompute generations rebuild the
+  /// wavefunction from scratch either way (the mixed-precision repair
+  /// of Sec. 7.2).
+  void acquire(std::unique_ptr<Walker>* walkers, RandomGenerator* rngs, int n, bool recompute,
+               bool resident = false)
   {
     assert(n > 0 && n <= capacity_);
     active_ = n;
@@ -111,33 +122,49 @@ public:
       twf_refs_.push_back(*twf_[i]);
       if (!ham_.empty())
         ham_refs_.push_back(*ham_[i]);
-      elec_[i]->load_walker(*walkers_[i]);
+      if (!resident)
+        elec_[i]->load_walker(*walkers_[i]);
     }
-    ParticleSet<TR>::mw_update(p_refs_);
+    // A resident slot's tables are the ones the last sweep's measurement
+    // built from these positions.
+    if (!resident)
+      ParticleSet<TR>::mw_update(p_refs_);
     if (recompute)
       TrialWaveFunction<TR>::mw_evaluate_log(twf_refs_, p_refs_, resources_);
-    else
+    else if (!resident)
       for (int i = 0; i < n; ++i)
         twf_[i]->copy_from_buffer(*elec_[i], *walkers_[i]);
   }
 
-  /// Stream slot state back into the walkers (buffers written once per
-  /// sweep). The slots stay bound until the next acquire().
-  void release()
+  /// Write the sweep's result back into the walkers. The slots stay
+  /// bound until the next acquire(). Parked (the default), each walker's
+  /// buffer receives the slot state; `resident`, the state stays in the
+  /// slot, and only the positions and log psi are written (after the
+  /// measurement, log_value() is the value a buffer write records) while
+  /// a stale buffer is freed.
+  void release(bool resident = false)
   {
     for (int i = 0; i < active_; ++i)
     {
-      twf_[i]->update_buffer(*walkers_[i]);
-      elec_[i]->store_walker(*walkers_[i]);
+      Walker& w = *walkers_[i];
+      if (resident)
+      {
+        w.log_psi = twf_[i]->log_value();
+        w.buffer.clear();
+      }
+      else
+        write_buffer(i, w);
+      elec_[i]->store_walker(w);
     }
   }
 
-  std::size_t byte_size() const
+  /// Serialize slot i's wavefunction state into w's buffer (and log psi
+  /// into w), first registering the layout if w has no buffer yet.
+  void write_buffer(int i, Walker& w)
   {
-    std::size_t b = 0;
-    for (const auto& e : elec_)
-      b += e->size() * sizeof(Pos);
-    return b;
+    if (w.buffer.size() == 0)
+      twf_[i]->register_data(w.buffer);
+    twf_[i]->update_buffer(w);
   }
 
   // ---- per-sweep workspace (sized to capacity, reused every move) ------

@@ -4,12 +4,20 @@
 // Generations iterate crowds, not single walkers: the population is cut
 // into slices of crowd_size, each slice is staged into a Crowd
 // (acquire), all walkers in the crowd move every electron in lockstep
-// through the batched mw_* API, and the slice is streamed back
+// through the batched mw_* API, and the slice is written back
 // (release). Every crowd size, 1 included, takes this one sweep, and
 // the chains are bit-identical across sizes because each walker's RNG
 // stream is private to it. VMC and DMC share one generation loop
 // (run_chain); DMC adds only the reweight, branch and trial-energy
 // feedback steps at the barrier.
+//
+// Residency: when the slices fit the crowds, crowd ic always holds
+// slice ic, and a VMC walker's state stays in its slot from one
+// generation to the next -- no reload, no table rebuild, no buffer. A
+// resident slot holds exactly what release() would have written and
+// the next acquire() read back, so resident and parked chains are
+// bitwise the same. Buffers are written only when something reads
+// them: DMC branching, capture_snapshot, the mutable population().
 //
 // Crowds of one generation execute concurrently on the ParallelCrowdRunner
 // (crowd-per-thread). Determinism across thread counts rests on three
@@ -24,6 +32,7 @@
 #define QMCXX_DRIVERS_QMC_DRIVER_IMPL_H
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -237,41 +246,84 @@ void QMCDriver<TR>::reduce_observables(GenerationStats& stats, bool weighted) co
 }
 
 template<typename TR>
+void QMCDriver<TR>::init_walker(Crowd<TR>& crowd, int slot, int iw, bool park)
+{
+  auto w = std::make_unique<Walker>(elec_proto_.size());
+  // Ids start at 1: parent_id == 0 is the founder sentinel, so no
+  // walker may actually own id 0.
+  w->id = static_cast<std::uint64_t>(iw) + 1;
+  // One private stream per walker slot, derived from the master seed
+  // at a SplitMix64 jump offset (concurrency/rng_streams.h). A crowd
+  // owns the streams of its population slice and nothing else, so no
+  // stream is ever touched by two threads.
+  RandomGenerator rng =
+      make_stream(config_.seed, StreamKind::Walker, static_cast<std::uint64_t>(iw));
+  // Jittered copy of the prototype configuration.
+  for (int i = 0; i < elec_proto_.size(); ++i)
+    w->R[i] = elec_proto_.pos(i) +
+        TinyVector<double, 3>{0.1 * rng.gaussian(), 0.1 * rng.gaussian(), 0.1 * rng.gaussian()};
+  ParticleSet<TR>& elec = crowd.elec(slot);
+  TrialWaveFunction<TR>& twf = crowd.twf(slot);
+  elec.load_walker(*w);
+  elec.update();
+  w->log_psi = twf.evaluate_log(elec);
+  // Register and fill the anonymous buffer (paper Fig. 4).
+  if (park)
+    crowd.write_buffer(slot, *w);
+  w->local_energy = crowd.ham(slot).evaluate(elec, twf);
+  w->old_local_energy = w->local_energy;
+  pop_.walkers[static_cast<std::size_t>(iw)] = std::move(w);
+  pop_.rngs[static_cast<std::size_t>(iw)] = rng;
+}
+
+template<typename TR>
 void QMCDriver<TR>::initialize_population()
 {
+  // A fresh chain: nothing of a restored snapshot's carries over.
+  start_generation_ = 0;
+  resumed_ = false;
+  resumed_kind_ = io::ChainKind::VMC;
+  trial_energy_ = 0.0;
+  branch_rng_ = make_stream(config_.seed, StreamKind::Branch, 0);
+  resident_ = false;
+
+  const int nw = config_.num_walkers;
+  const int cs = config_.crowd_size;
   pop_.walkers.clear();
   pop_.rngs.clear();
-  Crowd<TR>& crowd = *crowds_.front();
-  ParticleSet<TR>& elec = crowd.elec(0);
-  TrialWaveFunction<TR>& twf = crowd.twf(0);
-  Hamiltonian<TR>& ham = crowd.ham(0);
-  for (int iw = 0; iw < config_.num_walkers; ++iw)
+  pop_.walkers.resize(static_cast<std::size_t>(nw));
+  pop_.rngs.resize(static_cast<std::size_t>(nw));
+  const bool resident = fits_crowds(nw);
+  try
   {
-    auto w = std::make_unique<Walker>(elec_proto_.size());
-    // Ids start at 1: parent_id == 0 is the founder sentinel, so no
-    // walker may actually own id 0.
-    w->id = static_cast<std::uint64_t>(iw) + 1;
-    // One private stream per walker slot, derived from the master seed
-    // at a SplitMix64 jump offset (concurrency/rng_streams.h). A crowd
-    // owns the streams of its population slice and nothing else, so no
-    // stream is ever touched by two threads.
-    RandomGenerator rng =
-        make_stream(config_.seed, StreamKind::Walker, static_cast<std::uint64_t>(iw));
-    // Jittered copy of the prototype configuration.
-    for (int i = 0; i < elec_proto_.size(); ++i)
-      w->R[i] = elec_proto_.pos(i) +
-          TinyVector<double, 3>{0.1 * rng.gaussian(), 0.1 * rng.gaussian(), 0.1 * rng.gaussian()};
-    // Register and fill the anonymous buffer (paper Fig. 4).
-    elec.load_walker(*w);
-    elec.update();
-    twf.evaluate_log(elec);
-    twf.register_data(w->buffer);
-    twf.update_buffer(*w);
-    w->local_energy = ham.evaluate(elec, twf);
-    w->old_local_energy = w->local_energy;
-    pop_.walkers.push_back(std::move(w));
-    pop_.rngs.push_back(rng);
+    if (resident)
+      runner_->run_generation(num_slices(nw), [&](int ic, int) {
+        for (int iw = ic * cs; iw < std::min(nw, (ic + 1) * cs); ++iw)
+          init_walker(*crowds_[static_cast<std::size_t>(ic)], iw - ic * cs, iw, false);
+      });
+    else
+      for (int iw = 0; iw < nw; ++iw)
+        init_walker(*crowds_.front(), 0, iw, true);
   }
+  catch (...)
+  {
+    pop_.walkers.clear(); // no half-built population survives
+    pop_.rngs.clear();
+    throw;
+  }
+  resident_ = resident;
+}
+
+template<typename TR>
+WalkerPopulation& QMCDriver<TR>::population()
+{
+  if (resident_)
+  {
+    for (std::size_t iw = 0; iw < pop_.walkers.size(); ++iw)
+      write_slot_state(iw, *pop_.walkers[iw]);
+    resident_ = false;
+  }
+  return pop_;
 }
 
 template<typename TR>
@@ -289,6 +341,7 @@ io::PopulationSnapshot QMCDriver<TR>::capture_snapshot(int next_generation,
   snap.branch_rng = branch_rng_.save_state();
   snap.num_particles = static_cast<std::uint64_t>(elec_proto_.size());
   snap.walkers.reserve(pop_.walkers.size());
+  Walker slot_state; // a resident walker's buffer, written from its slot
   for (std::size_t iw = 0; iw < pop_.walkers.size(); ++iw)
   {
     const Walker& w = *pop_.walkers[iw];
@@ -303,7 +356,13 @@ io::PopulationSnapshot QMCDriver<TR>::capture_snapshot(int next_generation,
     ws.age = w.age;
     ws.rng = pop_.rngs[iw].save_state();
     ws.R = w.R;
-    ws.buffer.assign(w.buffer.data(), w.buffer.data() + w.buffer.size());
+    const PooledBuffer* buf = &w.buffer;
+    if (resident_)
+    {
+      write_slot_state(iw, slot_state);
+      buf = &slot_state.buffer;
+    }
+    ws.buffer.assign(buf->data(), buf->data() + buf->size());
     snap.walkers.push_back(std::move(ws));
   }
   return snap;
@@ -364,6 +423,7 @@ void QMCDriver<TR>::restore_snapshot(const io::PopulationSnapshot& snap)
   start_generation_ = static_cast<int>(snap.generation);
   resumed_ = true;
   resumed_kind_ = snap.kind;
+  resident_ = false;
 }
 
 template<typename TR>
@@ -380,9 +440,11 @@ bool QMCDriver<TR>::checkpoint_barrier(int gen, io::ChainKind kind)
 
 template<typename TR>
 typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(Crowd<TR>& crowd, int first,
-                                                                int n, bool recompute, int gen)
+                                                                int n, bool recompute, int gen,
+                                                                bool resident_in,
+                                                                bool resident_out)
 {
-  crowd.acquire(&pop_.walkers[first], &pop_.rngs[first], n, recompute);
+  crowd.acquire(&pop_.walkers[first], &pop_.rngs[first], n, recompute, resident_in);
   const FullPrecReal tau = config_.tau;
   const FullPrecReal sqrt_tau = std::sqrt(tau);
   const int nel = crowd.elec(0).size();
@@ -461,7 +523,7 @@ typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(Crowd<TR>& crowd
   // depends only on `gen`, so every decomposition samples identically.
   for (int iw = 0; iw < n; ++iw)
     crowd.twf(iw).monitor_inverse_drift(crowd.elec(iw), config_.precision, gen, out.drift);
-  crowd.release();
+  crowd.release(resident_out);
   for (int iw = 0; iw < n; ++iw)
   {
     Walker& w = crowd.walker(iw);
@@ -473,25 +535,32 @@ typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::sweep_crowd(Crowd<TR>& crowd
 }
 
 template<typename TR>
-typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::run_generation_crowds(bool recompute, int gen)
+typename QMCDriver<TR>::SweepOutcome QMCDriver<TR>::run_generation_crowds(bool recompute, int gen,
+                                                                          bool dmc)
 {
   const int nw = pop_.size();
   const int cs = config_.crowd_size;
-  const int ncrowds = (nw + cs - 1) / cs;
+  const int ncrowds = num_slices(nw);
+  const bool fixed_map = fits_crowds(nw);
+  assert(!resident_ || fixed_map); // residency is only ever set on the fixed map
+  const bool resident_in = resident_;
+  const bool resident_out = fixed_map && !dmc;
   // Per-walker sample rows for this generation: disjoint slices per
   // crowd, reduced serially at the barrier (reduce_observables).
   comp_samples_.assign(static_cast<std::size_t>(nw) * ham_proto_.num_components(), 0.0);
   est_samples_.assign(
       static_cast<std::size_t>(nw) * (estimators_ ? estimators_->total_bins() : 0), 0.0);
   std::vector<SweepOutcome> outcomes(ncrowds);
-  // Crowd ic always sweeps the same slice no matter which thread claims
-  // it, and writes only slice-owned state plus its own outcomes slot:
-  // the claim order cannot affect any result.
+  // Crowd task ic always sweeps the same slice no matter which thread
+  // claims it, and writes only slice-owned state plus its own outcomes
+  // slot: the claim order cannot affect any result.
   runner_->run_generation(ncrowds, [&](int ic, int thread_index) {
     const int lo = ic * cs;
     const int count = nw - lo < cs ? nw - lo : cs;
-    outcomes[ic] = sweep_crowd(*crowds_[thread_index], lo, count, recompute, gen);
+    Crowd<TR>& crowd = *crowds_[static_cast<std::size_t>(fixed_map ? ic : thread_index)];
+    outcomes[ic] = sweep_crowd(crowd, lo, count, recompute, gen, resident_in, resident_out);
   });
+  resident_ = resident_out;
   SweepOutcome total;
   for (const SweepOutcome& out : outcomes)
   {
@@ -546,7 +615,7 @@ RunResult QMCDriver<TR>::run_chain(io::ChainKind kind)
     const bool recompute =
         config_.recompute_period > 0 && gen > 0 && gen % config_.recompute_period == 0;
     const int nw = pop_.size();
-    const SweepOutcome out = run_generation_crowds(recompute, gen);
+    const SweepOutcome out = run_generation_crowds(recompute, gen, dmc);
 
     // Serial barrier-side steps, all in fixed walker order so the
     // statistics are bitwise-identical for every thread count: DMC

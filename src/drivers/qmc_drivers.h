@@ -1,14 +1,18 @@
 // VMC and DMC drivers implementing the paper's Alg. 1.
 //
-// Thread-level structure mirrors Fig. 4: per-thread ParticleSet /
-// TrialWaveFunction / Hamiltonian clones process crowds of walkers on a
-// dedicated ThreadPool (crowd-per-thread, Sec. 5); loadWalker /
-// storeWalker plus the anonymous buffer move walker state in and out of
-// the compute objects. Each generation ends at a barrier where the
-// population statistics reduce in fixed walker order, so chains are
-// bitwise-identical for every thread count at a fixed crowd
-// decomposition. VMC and DMC share one generation loop; DMC adds only
-// the reweighting, serial birth/death branching and trial-energy
+// Thread-level structure mirrors Fig. 4: ParticleSet /
+// TrialWaveFunction / Hamiltonian clones, one crowd of them per pool
+// thread, process the walkers on a dedicated ThreadPool
+// (crowd-per-thread, Sec. 5). A walker's wavefunction state lives in a
+// crowd slot while it sweeps; the anonymous buffer is its parked and
+// serialized form. When the population fits the crowds, a VMC walker
+// stays resident in its slot between generations and needs no buffer
+// at all; DMC branching clones parents from their buffers, so DMC
+// generations park the population. Each generation ends at a barrier
+// where the population statistics reduce in fixed walker order, so
+// chains are bitwise-identical for every thread count and crowd size,
+// resident or parked. VMC and DMC share one generation loop; DMC adds
+// only the reweighting, serial birth/death branching and trial-energy
 // feedback (Alg. 1 L13-L14).
 #ifndef QMCXX_DRIVERS_QMC_DRIVERS_H
 #define QMCXX_DRIVERS_QMC_DRIVERS_H
@@ -180,11 +184,24 @@ public:
             DriverConfig config);
   ~QMCDriver();
 
-  /// Create the target population: jittered copies of the prototype
-  /// configuration, buffers registered and filled.
+  /// Start a fresh chain (generation 0, the seed's branch stream, no
+  /// resume) on a new target population: jittered copies of the
+  /// prototype configuration, each evaluated from scratch. When the
+  /// population fits the crowds (ceil(num_walkers / crowd_size) <= pool
+  /// threads), crowd ic builds slice ic in place, the crowds in parallel,
+  /// and the walkers stay resident with no buffer; otherwise crowd 0
+  /// builds every walker serially and parks it in a registered, filled
+  /// buffer.
   void initialize_population();
 
-  WalkerPopulation& population() { return pop_; }
+  /// The population as it stands: a resident walker carries positions,
+  /// bookkeeping and log psi, but its buffer is empty (or stale).
+  const WalkerPopulation& population() const { return pop_; }
+
+  /// The population for a caller that may read buffers or move walkers:
+  /// resident state is first written into (registered) buffers, and
+  /// the walkers are parked from then on.
+  WalkerPopulation& population();
 
   /// Attach an estimator set (nullptr detaches). The set is shared and
   /// read-only: samples land in per-walker rows and reduce at the
@@ -202,7 +219,9 @@ public:
   /// Serialize the complete chain state at a generation barrier:
   /// population (positions, bookkeeping, lineage, buffers), per-walker
   /// RNG streams, branch stream, trial energy, and the absolute index
-  /// of the next generation to run.
+  /// of the next generation to run. A resident walker's slot state is
+  /// written straight into its snapshot buffer; the walker stays
+  /// resident and bufferless.
   [[nodiscard]] io::PopulationSnapshot capture_snapshot(int next_generation,
                                                         io::ChainKind kind) const;
 
@@ -210,7 +229,8 @@ public:
   /// initialize_population). Validates compatibility first and offers
   /// the strong guarantee: on any throw the driver is untouched.
   /// Subsequent run_vmc/run_dmc continues the chain at the snapshot's
-  /// generation counter, bitwise-exact.
+  /// generation counter, bitwise-exact. The restored walkers are
+  /// parked: the first generation loads them from their buffers.
   void restore_snapshot(const io::PopulationSnapshot& snap);
 
 private:
@@ -246,14 +266,37 @@ private:
   /// the mw_* API, measure (Alg. 1 L4-L11), release. Walker
   /// energies/ages are updated in place. `gen` is the absolute
   /// generation index (drives the drift guard's rotating row selection).
-  SweepOutcome sweep_crowd(Crowd<TR>& crowd, int first, int n, bool recompute, int gen);
+  /// `resident_in`: the slice's state is already in the crowd's slots;
+  /// `resident_out`: it stays there after the sweep.
+  SweepOutcome sweep_crowd(Crowd<TR>& crowd, int first, int n, bool recompute, int gen,
+                           bool resident_in, bool resident_out);
 
-  /// Run one generation's crowds on the pool: crowd ic sweeps the
+  /// Run one generation's crowds on the pool: crowd task ic sweeps the
   /// population slice [ic*crowd_size, ...) on whichever thread claims
-  /// it, with all per-crowd results keyed by ic. Returns the outcomes
-  /// reduced in crowd order (the fixed reduction order). `gen` is the
-  /// absolute generation index (resume offset included).
-  SweepOutcome run_generation_crowds(bool recompute, int gen);
+  /// it, with all per-crowd results keyed by ic. When the slices fit the
+  /// crowds, task ic always uses crowd ic (the fixed map residency
+  /// needs); otherwise each thread uses its own crowd. A VMC generation
+  /// on the fixed map leaves the population resident; any other parks
+  /// it. Returns the outcomes reduced in crowd order (the fixed
+  /// reduction order). `gen` is the absolute generation index (resume
+  /// offset included).
+  SweepOutcome run_generation_crowds(bool recompute, int gen, bool dmc);
+
+  /// Number of crowd slices of a population of nw walkers, and whether
+  /// they fit the crowds (one slice per crowd, the fixed map).
+  int num_slices(int nw) const { return (nw + config_.crowd_size - 1) / config_.crowd_size; }
+  bool fits_crowds(int nw) const { return num_slices(nw) <= static_cast<int>(crowds_.size()); }
+
+  /// Build walker iw from scratch in crowd slot `slot` (pop_ is sized);
+  /// `park` registers and fills its buffer.
+  void init_walker(Crowd<TR>& crowd, int slot, int iw, bool park);
+
+  /// Write resident walker iw's slot state into `into`'s buffer.
+  void write_slot_state(std::size_t iw, Walker& into) const
+  {
+    const std::size_t cs = static_cast<std::size_t>(config_.crowd_size);
+    crowds_[iw / cs]->write_buffer(static_cast<int>(iw % cs), into);
+  }
 
   /// Generation-barrier checkpoint/interrupt point: writes a snapshot
   /// when due (periodic cadence or pending stop) and reports whether
@@ -265,9 +308,16 @@ private:
   Hamiltonian<TR>& ham_proto_;
   DriverConfig config_;
   /// One crowd of `crowd_size` slots per pool thread (the paper's Fig. 4
-  /// E_th/Psi_th clones, widened to a batch) with its mw_* scratch.
+  /// E_th/Psi_th clones, widened to a batch) with its mw_* scratch. Not
+  /// bound to a thread: while the population is resident, walker iw's
+  /// state lives in slot iw % crowd_size of crowd iw / crowd_size.
   std::vector<std::unique_ptr<Crowd<TR>>> crowds_;
   WalkerPopulation pop_;
+  /// Every walker's state is in its fixed-map slot, and its buffer is
+  /// empty or stale. Set by a resident init or a VMC generation on the
+  /// fixed map; cleared by a parked init, restore_snapshot, any DMC
+  /// generation and the mutable population().
+  bool resident_ = false;
   std::shared_ptr<const EstimatorSet<TR>> estimators_;
   std::shared_ptr<const ObservableLabels> labels_;
   /// Per-generation sample buffers, row iw = global walker index:

@@ -23,7 +23,13 @@ struct EngineReport
   std::size_t footprint_bytes = 0; ///< tracked allocations after setup
   std::size_t peak_bytes = 0;      ///< high-water mark during the run
   std::size_t spline_bytes = 0;    ///< read-only orbital table
-  std::size_t walker_bytes = 0;    ///< per-walker positions + buffers
+  /// What the set-up population holds: every walker's record,
+  /// positions and buffer. A resident walker has no buffer.
+  std::size_t walker_bytes = 0;
+  /// Per-walker wavefunction state: the buffer layout the
+  /// wavefunction registers, which a parked walker or a snapshot
+  /// carries (the per-walker memory of paper Fig. 4).
+  std::size_t walker_state_bytes = 0;
   std::size_t dist_table_bytes = 0;
   double build_seconds = 0.0;
 };

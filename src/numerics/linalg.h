@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "containers/matrix.h"
@@ -82,25 +83,58 @@ void lu_logdet(const Matrix<T>& lu, int pivot_sign, double& logdet, double& sign
   }
 }
 
-/// Solve (LU) x = b in place using the pivot vector from lu_factor.
+/// out = A^-1, with log|det A| and sign as byproducts. A is consumed:
+/// it holds the LU factors afterwards.
+///
+/// The n right-hand sides are solved together, row by row, starting
+/// from X = P I; every row update is a unit-stride axpy over all
+/// columns. Each element sees the operations of the textbook solve of
+/// its unit column, in that order (forward updates by ascending k, back
+/// updates by descending k, then the division by the pivot), so the
+/// result is bitwise the column-at-a-time inverse
+/// (Linalg.RowSolveBitwiseEqualsColumnSolve).
 template<typename T>
-void lu_solve(const Matrix<T>& lu, const std::vector<int>& pivot, T* b)
+void invert_matrix(Matrix<T>&& a, Matrix<T>& out, double& logdet, double& sign)
 {
-  const std::size_t n = lu.rows();
-  // Apply all row swaps first: the stored L entries were permuted by
-  // later pivots, so they are consistent only with the final ordering.
+  const std::size_t n = a.rows();
+  int psign = 1;
+  const std::vector<int> pivot = lu_factor(a, psign);
+  lu_logdet(a, psign, logdet, sign);
+
+  // X = P I: the pivots' row swaps, applied in order to the identity.
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i)
+    perm[i] = i;
   for (std::size_t k = 0; k < n; ++k)
-    std::swap(b[k], b[pivot[k]]);
-  for (std::size_t k = 0; k < n; ++k)
+    std::swap(perm[k], perm[static_cast<std::size_t>(pivot[k])]);
+  out.resize(n, n, /*pad_rows=*/false);
+  for (std::size_t i = 0; i < n; ++i)
+    out(i, perm[i]) = T(1);
+
+  for (std::size_t i = 1; i < n; ++i)
   {
-    for (std::size_t i = k + 1; i < n; ++i)
-      b[i] -= lu(i, k) * b[k];
+    T* __restrict xi = out.row(i);
+    for (std::size_t k = 0; k < i; ++k)
+    {
+      const T lik = a(i, k);
+      const T* __restrict xk = out.row(k);
+      for (std::size_t j = 0; j < n; ++j)
+        xi[j] -= lik * xk[j];
+    }
   }
-  for (std::size_t k = n; k-- > 0;)
+  for (std::size_t i = n; i-- > 0;)
   {
-    b[k] /= lu(k, k);
-    for (std::size_t i = 0; i < k; ++i)
-      b[i] -= lu(i, k) * b[k];
+    T* __restrict xi = out.row(i);
+    for (std::size_t k = n; --k > i;)
+    {
+      const T uik = a(i, k);
+      const T* __restrict xk = out.row(k);
+      for (std::size_t j = 0; j < n; ++j)
+        xi[j] -= uik * xk[j];
+    }
+    const T uii = a(i, i);
+    for (std::size_t j = 0; j < n; ++j)
+      xi[j] /= uii;
   }
 }
 
@@ -108,25 +142,7 @@ void lu_solve(const Matrix<T>& lu, const std::vector<int>& pivot, T* b)
 template<typename T>
 void invert_matrix(const Matrix<T>& a, Matrix<T>& out, double& logdet, double& sign)
 {
-  const std::size_t n = a.rows();
-  Matrix<T> lu(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      lu(i, j) = a(i, j);
-  int psign = 1;
-  const std::vector<int> pivot = lu_factor(lu, psign);
-  lu_logdet(lu, psign, logdet, sign);
-
-  out.resize(n, n, /*pad_rows=*/false);
-  std::vector<T> col(n);
-  for (std::size_t j = 0; j < n; ++j)
-  {
-    for (std::size_t i = 0; i < n; ++i)
-      col[i] = (i == j) ? T(1) : T(0);
-    lu_solve(lu, pivot, col.data());
-    for (std::size_t i = 0; i < n; ++i)
-      out(i, j) = col[i];
-  }
+  invert_matrix(Matrix<T>(a), out, logdet, sign);
 }
 
 /// y = alpha * A x + beta * y  (row-major, A is m x n).

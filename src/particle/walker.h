@@ -2,9 +2,12 @@
 //
 // Mirrors the paper's Fig. 4 Walker: positions in AoS layout, the DMC
 // bookkeeping scalars (weight, multiplicity, age, local energies) and the
-// anonymous buffer holding the wavefunction's internal state so a walker
-// can resume PbyP updates after being parked or shipped to another rank.
-// The buffer size is the per-walker memory footprint the paper's
+// anonymous buffer. The buffer is the walker's parked and serialized
+// form: the wavefunction's internal state, so a walker can resume PbyP
+// updates after being parked, cloned by branching, checkpointed or
+// shipped to another rank. A walker resident in a crowd slot keeps that
+// state in the slot and its buffer stays empty (drivers/qmc_drivers.h).
+// The registered layout is the per-walker memory footprint the paper's
 // compute-on-the-fly algorithms reduce (22.5 MB saved per NiO-64 walker).
 #ifndef QMCXX_PARTICLE_WALKER_H
 #define QMCXX_PARTICLE_WALKER_H
@@ -40,7 +43,7 @@ struct Walker
   std::uint64_t parent_id = 0;
   PooledBuffer buffer;    ///< anonymous per-walker wavefunction state
 
-  /// Resident bytes of this walker: positions and buffer are counted at
+  /// Bytes this walker holds: positions and buffer are counted at
   /// *capacity*, not size -- a buffer that shrank logically still pins
   /// its backing store, and per-job memory budgeting (qmc_server) must
   /// see what the allocator sees.

@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "containers/matrix.h"
 #include "instrument/timer.h"
@@ -102,7 +103,7 @@ public:
     }
     Matrix<double> ainv;
     FullPrecReal logdet = 0, sign = 1;
-    linalg::invert_matrix(a, ainv, logdet, sign);
+    linalg::invert_matrix(std::move(a), ainv, logdet, sign);
     for (int i = 0; i < nel_; ++i)
       for (int j = 0; j < nel_; ++j)
         minv_(i, j) = static_cast<TR>(ainv(j, i)); // transposed storage
@@ -567,7 +568,7 @@ protected:
     }
     Matrix<double> ainv;
     FullPrecReal logdet = 0, sign = 1;
-    linalg::invert_matrix(a, ainv, logdet, sign);
+    linalg::invert_matrix(std::move(a), ainv, logdet, sign);
     for (int i = 0; i < nel_; ++i)
       for (int j = 0; j < nel_; ++j)
         minv_(i, j) = static_cast<TR>(ainv(j, i)); // transposed storage

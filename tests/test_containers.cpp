@@ -152,6 +152,24 @@ TEST(PooledBuffer, SizeReflectsRegistrations)
   EXPECT_EQ(buf.size(), 0u);
 }
 
+TEST(PooledBuffer, LayoutOnlyMeasuresWithoutAllocating)
+{
+  // Same registration, with the alignment padding between float and
+  // double: the layout-only buffer reports the same size and holds no
+  // storage.
+  PooledBuffer real;
+  PooledBuffer layout = PooledBuffer::layout_only();
+  for (PooledBuffer* b : {&real, &layout})
+  {
+    b->reserve<float>(3);
+    b->reserve<double>(5);
+    b->reserve<char>(1);
+  }
+  EXPECT_EQ(layout.size(), real.size());
+  EXPECT_EQ(layout.size(), 12u + 4u + 40u + 1u);
+  EXPECT_EQ(layout.capacity(), 0u);
+}
+
 TEST(MemoryTracker, TracksAllocations)
 {
   auto& mt = MemoryTracker::instance();

@@ -1,11 +1,13 @@
 // Crowd (multi-walker) API tests: bitwise chain parity of the VMC and
 // DMC drivers across crowd sizes on the Graphite workload, bit-exact
 // walker-buffer round-trips inside a crowd, batched-vs-scalar agreement
-// of the mw_ratio_grad kernel path, and the crowd workspace sizing.
+// of the mw_ratio_grad kernel path, the crowd workspace sizing, and
+// resident populations against parked ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "drivers/crowd.h"
 #include "drivers/qmc_drivers.h"
@@ -293,4 +295,163 @@ TEST(ThreadParity, ThreadsComposeWithSingleWalkerCrowds)
   cfg.num_threads = 4;
   const RunResult threaded = build_and_run<double>(spec, cfg, /*dmc=*/true);
   expect_chains_bitwise(serial, threaded);
+}
+
+// ---------------------------------------------------------------------
+// Residency: when a VMC population fits the crowds, each walker's state
+// stays in its crowd slot between generations, and walker buffers are
+// written only for what reads them (DMC branching, snapshots, the
+// mutable population()). Crowd 3 on 2 threads fits a population of 5
+// (two slices, the second partial) and runs resident; crowd 1 on 1
+// thread parks every walker. The two must agree bitwise -- chains,
+// buffers and snapshots.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+constexpr int kResidentWalkers = 5;
+
+DriverConfig residency_config(int crowd, int threads, int steps)
+{
+  DriverConfig cfg = short_chain_config(kSeed, steps, kResidentWalkers, crowd);
+  cfg.num_threads = threads;
+  cfg.recompute_period = 2; // generation 2 rebuilds from scratch
+  return cfg;
+}
+
+/// What a bufferless walker holds: the record and its positions.
+std::size_t positions_only_bytes(const WalkerPopulation& pop)
+{
+  std::size_t b = 0;
+  for (const auto& w : pop.walkers)
+    b += sizeof(Walker) + w->R.capacity() * sizeof(Walker::Pos);
+  return b;
+}
+
+std::size_t registered_layout_bytes(TrialWaveFunction<double>& twf)
+{
+  PooledBuffer probe = PooledBuffer::layout_only();
+  twf.register_data(probe);
+  return probe.size();
+}
+
+} // namespace
+
+TEST(Residency, ResidentInitHoldsPositionsOnly)
+{
+  auto sys = build_system<double>(tiny_spec(), BuildOptions{});
+  QMCDriver<double> resident(*sys.elec, *sys.twf, *sys.ham, residency_config(3, 2, 1));
+  resident.initialize_population();
+  const WalkerPopulation& pop = std::as_const(resident).population();
+  ASSERT_EQ(pop.size(), kResidentWalkers);
+  for (const auto& w : pop.walkers)
+    EXPECT_EQ(w->buffer.size(), 0u) << "walker " << w->id;
+  EXPECT_EQ(pop.byte_size(), positions_only_bytes(pop));
+
+  // Parked, every walker carries the registered layout.
+  QMCDriver<double> parked(*sys.elec, *sys.twf, *sys.ham, residency_config(1, 1, 1));
+  parked.initialize_population();
+  const std::size_t layout = registered_layout_bytes(*sys.twf);
+  for (const auto& w : std::as_const(parked).population().walkers)
+    EXPECT_EQ(w->buffer.size(), layout) << "walker " << w->id;
+}
+
+TEST(Residency, ResidentCaptureEqualsParkedOnFourThreads)
+{
+  // Four single-walker crowds on four threads: the population is built
+  // in place in parallel and sweeps resident; the snapshot writes each
+  // slot's state directly. Three generations, the last a recompute.
+  auto sys = build_system<double>(tiny_spec(), BuildOptions{});
+  DriverConfig cfg = residency_config(1, 4, 3);
+  cfg.num_walkers = 4;
+  QMCDriver<double> resident(*sys.elec, *sys.twf, *sys.ham, cfg);
+  resident.initialize_population();
+  const RunResult r = resident.run_vmc();
+  cfg.num_threads = 1;
+  QMCDriver<double> parked(*sys.elec, *sys.twf, *sys.ham, cfg);
+  parked.initialize_population();
+  const RunResult p = parked.run_vmc();
+  expect_chains_bitwise(p, r);
+  expect_snapshots_identical(parked.capture_snapshot(3, io::ChainKind::VMC),
+                             resident.capture_snapshot(3, io::ChainKind::VMC));
+  // Capturing read the slots; it brought no buffer back.
+  for (const auto& w : std::as_const(resident).population().walkers)
+    EXPECT_EQ(w->buffer.size(), 0u) << "walker " << w->id;
+}
+
+TEST(Residency, RestoreAfterResidentRunContinuesReferenceChain)
+{
+  // A driver whose slots hold its own generation-4 state restores a
+  // generation-2 snapshot of the reference chain: the restored walkers
+  // must be loaded from their buffers, not taken from the slots.
+  auto sys = build_system<double>(tiny_spec(), BuildOptions{});
+  QMCDriver<double> ref(*sys.elec, *sys.twf, *sys.ham, residency_config(1, 1, 4));
+  ref.initialize_population();
+  const RunResult full = ref.run_vmc();
+
+  QMCDriver<double> head(*sys.elec, *sys.twf, *sys.ham, residency_config(3, 2, 2));
+  head.initialize_population();
+  (void)head.run_vmc();
+  const io::PopulationSnapshot at2 = head.capture_snapshot(2, io::ChainKind::VMC);
+
+  QMCDriver<double> driver(*sys.elec, *sys.twf, *sys.ham, residency_config(3, 2, 4));
+  driver.initialize_population();
+  (void)driver.run_vmc();
+  driver.restore_snapshot(at2);
+  const RunResult tail = driver.run_vmc();
+  ASSERT_EQ(tail.start_generation, 2);
+  const std::vector<GenerationStats> ref_tail(full.generations.begin() + 2,
+                                              full.generations.end());
+  EXPECT_TRUE(chains_bitwise(ref_tail, tail.generations));
+  expect_snapshots_identical(ref.capture_snapshot(4, io::ChainKind::VMC),
+                             driver.capture_snapshot(4, io::ChainKind::VMC));
+}
+
+TEST(Residency, ResidentInitThenDmcRegistersEveryBuffer)
+{
+  // No resident walker has a registered buffer; DMC branching clones
+  // from buffers, so its first generation registers and writes them all.
+  auto sys = build_system<double>(tiny_spec(), BuildOptions{});
+  QMCDriver<double> resident(*sys.elec, *sys.twf, *sys.ham, residency_config(3, 2, 2));
+  resident.initialize_population();
+  const RunResult r = resident.run_dmc();
+  QMCDriver<double> parked(*sys.elec, *sys.twf, *sys.ham, residency_config(1, 1, 2));
+  parked.initialize_population();
+  const RunResult p = parked.run_dmc();
+  expect_chains_bitwise(p, r);
+  const std::size_t layout = registered_layout_bytes(*sys.twf);
+  for (const auto& w : std::as_const(resident).population().walkers)
+    EXPECT_EQ(w->buffer.size(), layout) << "walker " << w->id;
+  expect_snapshots_identical(parked.capture_snapshot(2, io::ChainKind::DMC),
+                             resident.capture_snapshot(2, io::ChainKind::DMC));
+}
+
+TEST(Residency, MutablePopulationWritesBuffersBack)
+{
+  auto sys = build_system<double>(tiny_spec(), BuildOptions{});
+  QMCDriver<double> resident(*sys.elec, *sys.twf, *sys.ham, residency_config(3, 2, 2));
+  QMCDriver<double> parked(*sys.elec, *sys.twf, *sys.ham, residency_config(1, 1, 2));
+  for (QMCDriver<double>* d : {&resident, &parked})
+  {
+    d->initialize_population();
+    (void)d->run_vmc();
+  }
+  const WalkerPopulation& a = resident.population();
+  const WalkerPopulation& b = parked.population();
+  ASSERT_EQ(a.size(), b.size());
+  for (int iw = 0; iw < a.size(); ++iw)
+  {
+    const Walker& wa = *a.walkers[static_cast<std::size_t>(iw)];
+    const Walker& wb = *b.walkers[static_cast<std::size_t>(iw)];
+    ASSERT_EQ(wa.buffer.size(), wb.buffer.size()) << "walker " << iw;
+    EXPECT_EQ(std::memcmp(wa.buffer.data(), wb.buffer.data(), wa.buffer.size()), 0)
+        << "walker " << iw;
+    EXPECT_EQ(wa.log_psi, wb.log_psi) << "walker " << iw;
+    EXPECT_EQ(std::memcmp(wa.R.data(), wb.R.data(), wa.R.size() * sizeof(Walker::Pos)), 0)
+        << "walker " << iw;
+  }
+  // The handed-out population is parked: the next chain loads it from
+  // the buffers just written.
+  expect_chains_bitwise(parked.run_vmc(), resident.run_vmc());
 }

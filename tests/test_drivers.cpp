@@ -513,3 +513,27 @@ TEST(RunEngine, AllVariantsProduceReports)
     EXPECT_GT(rep.profile.total(), 0.0) << to_string(v);
   }
 }
+
+TEST(RunEngine, ResidentSetupReportsPositionsOnly)
+{
+  // NiO-32 VMC set-up, 4 walkers in one crowd of 4: the population is
+  // built resident, so the report's walker bytes hold no buffer; the
+  // per-walker state size still reports the registered layout.
+  EngineRunSpec spec;
+  spec.workload = Workload::NiO32;
+  spec.variant = EngineVariant::Current;
+  spec.dmc = false;
+  spec.driver.steps = 0;
+  spec.driver.num_walkers = 4;
+  spec.driver.crowd_size = 4;
+  spec.driver.num_threads = 1;
+  const EngineReport resident = run_engine(spec);
+  const std::size_t nel = static_cast<std::size_t>(workload_spec(Workload::NiO32).num_electrons);
+  EXPECT_EQ(resident.walker_bytes, 4 * (sizeof(Walker) + nel * sizeof(Walker::Pos)));
+  EXPECT_GT(resident.walker_state_bytes, nel * sizeof(Walker::Pos));
+
+  spec.driver.crowd_size = 1; // four slices, one crowd: parked
+  const EngineReport parked = run_engine(spec);
+  EXPECT_EQ(parked.walker_state_bytes, resident.walker_state_bytes);
+  EXPECT_GE(parked.walker_bytes, resident.walker_bytes + 4 * parked.walker_state_bytes);
+}

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "containers/matrix.h"
@@ -70,6 +73,88 @@ TEST(Linalg, DeterminantSignTracksPermutation)
   linalg::invert_matrix(a, inv, logdet, sign);
   EXPECT_NEAR(logdet, 0.0, 1e-12);
   EXPECT_EQ(sign, -1.0);
+}
+
+namespace
+{
+
+/// The column-at-a-time inverse: each unit column is permuted, then
+/// forward- and back-substituted on its own.
+template<typename T>
+Matrix<T> column_solve_inverse(const Matrix<T>& a)
+{
+  const std::size_t n = a.rows();
+  Matrix<T> lu(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      lu(i, j) = a(i, j);
+  int psign = 1;
+  const std::vector<int> pivot = linalg::lu_factor(lu, psign);
+  Matrix<T> out(n, n);
+  std::vector<T> b(n);
+  for (std::size_t c = 0; c < n; ++c)
+  {
+    for (std::size_t i = 0; i < n; ++i)
+      b[i] = i == c ? T(1) : T(0);
+    for (std::size_t k = 0; k < n; ++k)
+      std::swap(b[k], b[static_cast<std::size_t>(pivot[k])]);
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = k + 1; i < n; ++i)
+        b[i] -= lu(i, k) * b[k];
+    for (std::size_t k = n; k-- > 0;)
+    {
+      b[k] /= lu(k, k);
+      for (std::size_t i = 0; i < k; ++i)
+        b[i] -= lu(i, k) * b[k];
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      out(i, c) = b[i];
+  }
+  return out;
+}
+
+template<typename T>
+void expect_row_solve_bitwise(std::size_t n, std::uint64_t seed)
+{
+  // Small diagonal, large off-diagonal entries: partial pivoting swaps
+  // rows at nearly every step.
+  RandomGenerator rng(seed);
+  Matrix<T> a(n, n, /*pad_rows=*/true);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      a(i, j) = static_cast<T>(i == j ? 1e-3 * rng.uniform(-1, 1) : rng.uniform(-1, 1));
+  if (n == 1)
+    a(0, 0) = T(-3);
+  Matrix<T> inv;
+  double logdet = 0, sign = 0;
+  linalg::invert_matrix(a, inv, logdet, sign);
+  const Matrix<T> ref = column_solve_inverse(a);
+  ASSERT_EQ(inv.rows(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(std::memcmp(inv.row(i), ref.row(i), n * sizeof(T)), 0)
+        << "row " << i << " of the n = " << n << " inverse";
+}
+
+} // namespace
+
+TEST(Linalg, RowSolveBitwiseEqualsColumnSolve)
+{
+  for (const std::size_t n : {1, 2, 3, 17, 128, 384})
+  {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    expect_row_solve_bitwise<double>(n, 40 + n);
+    expect_row_solve_bitwise<float>(n, 80 + n);
+  }
+  // A row-swapped identity: pivoting alone, exact zeros everywhere else.
+  Matrix<double> p(3, 3);
+  p(0, 2) = 1;
+  p(1, 0) = 1;
+  p(2, 1) = 1;
+  Matrix<double> inv;
+  double logdet = 0, sign = 0;
+  linalg::invert_matrix(p, inv, logdet, sign);
+  const Matrix<double> ref = column_solve_inverse(p);
+  EXPECT_EQ(std::memcmp(inv.data(), ref.data(), 9 * sizeof(double)), 0);
 }
 
 TEST(Linalg, SingularMatrixThrows)

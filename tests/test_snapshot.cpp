@@ -72,37 +72,6 @@ io::PopulationSnapshot synthetic_snapshot()
   return snap;
 }
 
-void expect_snapshots_identical(const io::PopulationSnapshot& a, const io::PopulationSnapshot& b)
-{
-  EXPECT_EQ(a.precision_bytes, b.precision_bytes);
-  EXPECT_EQ(a.workload_fingerprint, b.workload_fingerprint);
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.generation, b.generation);
-  EXPECT_EQ(a.master_seed, b.master_seed);
-  EXPECT_EQ(a.tau, b.tau);
-  EXPECT_EQ(a.trial_energy, b.trial_energy);
-  EXPECT_EQ(std::memcmp(&a.branch_rng, &b.branch_rng, sizeof(a.branch_rng)), 0);
-  EXPECT_EQ(a.num_particles, b.num_particles);
-  ASSERT_EQ(a.walkers.size(), b.walkers.size());
-  for (std::size_t i = 0; i < a.walkers.size(); ++i)
-  {
-    const io::WalkerSnapshot& wa = a.walkers[i];
-    const io::WalkerSnapshot& wb = b.walkers[i];
-    EXPECT_EQ(wa.id, wb.id);
-    EXPECT_EQ(wa.parent_id, wb.parent_id);
-    EXPECT_EQ(wa.weight, wb.weight);
-    EXPECT_EQ(wa.multiplicity, wb.multiplicity);
-    EXPECT_EQ(wa.local_energy, wb.local_energy);
-    EXPECT_EQ(wa.old_local_energy, wb.old_local_energy);
-    EXPECT_EQ(wa.log_psi, wb.log_psi);
-    EXPECT_EQ(wa.age, wb.age);
-    EXPECT_EQ(std::memcmp(&wa.rng, &wb.rng, sizeof(wa.rng)), 0);
-    ASSERT_EQ(wa.R.size(), wb.R.size());
-    EXPECT_EQ(std::memcmp(wa.R.data(), wb.R.data(), wa.R.size() * sizeof(Walker::Pos)), 0);
-    EXPECT_EQ(wa.buffer, wb.buffer);
-  }
-}
-
 /// head.generations ++ tail.generations must equal ref.generations,
 /// field for field, bitwise (== on non-NaN doubles is bit equality).
 /// The generations of a chain run as `head`, then resumed as `tail`.
@@ -518,6 +487,38 @@ TEST(DriverSnapshot, RejectsChainKindMismatch)
   resumed.restore_snapshot(vmc_snap);
   EXPECT_THROW((void)resumed.run_dmc(), std::runtime_error);
   EXPECT_NO_THROW((void)resumed.run_vmc());
+}
+
+TEST(DriverSnapshot, InitializeAfterRestoreStartsFreshChain)
+{
+  // A new population replaces a restored one: nothing of the snapshot
+  // (generation counter, chain kind, trial energy, branch stream) may
+  // carry over, so the chain equals a fresh driver's, DMC included.
+  BuildOptions opt;
+  auto sys = build_system<double>(tiny_spec(), opt);
+  const DriverConfig cfg = short_chain_config(kSeed, 3, 3);
+  QMCDriver<double> head(*sys.elec, *sys.twf, *sys.ham, cfg);
+  head.initialize_population();
+  (void)head.run_vmc();
+  const io::PopulationSnapshot vmc_snap = head.capture_snapshot(cfg.steps, io::ChainKind::VMC);
+
+  for (const bool dmc : {true, false})
+  {
+    SCOPED_TRACE(dmc ? "run_dmc" : "run_vmc");
+    const io::ChainKind kind = dmc ? io::ChainKind::DMC : io::ChainKind::VMC;
+    QMCDriver<double> fresh(*sys.elec, *sys.twf, *sys.ham, cfg);
+    fresh.initialize_population();
+    const RunResult ref = dmc ? fresh.run_dmc() : fresh.run_vmc();
+
+    QMCDriver<double> reused(*sys.elec, *sys.twf, *sys.ham, cfg);
+    reused.restore_snapshot(vmc_snap);
+    reused.initialize_population();
+    const RunResult r = dmc ? reused.run_dmc() : reused.run_vmc();
+    EXPECT_EQ(r.start_generation, 0);
+    EXPECT_TRUE(chains_bitwise(ref.generations, r.generations));
+    expect_snapshots_identical(fresh.capture_snapshot(cfg.steps, kind),
+                               reused.capture_snapshot(cfg.steps, kind));
+  }
 }
 
 TEST(DriverSnapshot, PrecisionTagMismatchRejected)

@@ -1,6 +1,6 @@
 // Shared fixtures: small synthetic particle systems for unit tests, the
 // 16-electron test system, the Slater-determinant system, the short-chain
-// driver harness, and the bitwise chain comparator.
+// driver harness, and the bitwise chain and snapshot comparators.
 #ifndef QMCXX_TESTS_TEST_UTILS_H
 #define QMCXX_TESTS_TEST_UTILS_H
 
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -284,6 +285,39 @@ inline ::testing::AssertionResult chains_bitwise(const RunResult& a, const RunRe
 inline void expect_chains_bitwise(const RunResult& a, const RunResult& b)
 {
   EXPECT_TRUE(chains_bitwise(a, b));
+}
+
+/// Field-for-field, byte-for-byte identity of two snapshots.
+inline void expect_snapshots_identical(const io::PopulationSnapshot& a,
+                                       const io::PopulationSnapshot& b)
+{
+  EXPECT_EQ(a.precision_bytes, b.precision_bytes);
+  EXPECT_EQ(a.workload_fingerprint, b.workload_fingerprint);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.generation, b.generation);
+  EXPECT_EQ(a.master_seed, b.master_seed);
+  EXPECT_EQ(a.tau, b.tau);
+  EXPECT_EQ(a.trial_energy, b.trial_energy);
+  EXPECT_EQ(std::memcmp(&a.branch_rng, &b.branch_rng, sizeof(a.branch_rng)), 0);
+  EXPECT_EQ(a.num_particles, b.num_particles);
+  ASSERT_EQ(a.walkers.size(), b.walkers.size());
+  for (std::size_t i = 0; i < a.walkers.size(); ++i)
+  {
+    const io::WalkerSnapshot& wa = a.walkers[i];
+    const io::WalkerSnapshot& wb = b.walkers[i];
+    EXPECT_EQ(wa.id, wb.id);
+    EXPECT_EQ(wa.parent_id, wb.parent_id);
+    EXPECT_EQ(wa.weight, wb.weight);
+    EXPECT_EQ(wa.multiplicity, wb.multiplicity);
+    EXPECT_EQ(wa.local_energy, wb.local_energy);
+    EXPECT_EQ(wa.old_local_energy, wb.old_local_energy);
+    EXPECT_EQ(wa.log_psi, wb.log_psi);
+    EXPECT_EQ(wa.age, wb.age);
+    EXPECT_EQ(std::memcmp(&wa.rng, &wb.rng, sizeof(wa.rng)), 0);
+    ASSERT_EQ(wa.R.size(), wb.R.size());
+    EXPECT_EQ(std::memcmp(wa.R.data(), wb.R.data(), wa.R.size() * sizeof(Walker::Pos)), 0);
+    EXPECT_EQ(wa.buffer, wb.buffer);
+  }
 }
 
 /// Expect `fn()` to throw an `E` whose message contains `needle`.
